@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare run-all scenario-golden catalog-golden serve-smoke serve-load serve-restart-smoke sweep-resume-smoke trace-smoke dist-smoke stream-smoke clean
+.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare run-all scenario-golden catalog-golden perfbench-test serve-smoke serve-load serve-restart-smoke sweep-resume-smoke trace-smoke dist-smoke stream-smoke clean
 
 all: build lint test
 
@@ -77,6 +77,13 @@ scenario-golden:
 catalog-golden:
 	@$(GO) run ./cmd/atlarge list --format json | cmp - cmd/atlarge/testdata/catalog.golden.json
 	@echo "catalog-golden: OK"
+
+# Vet and test the end-to-end benchmark module (perfbench/, a separate
+# module that replaces atlarge with this checkout), so a break in the public
+# API it calls fails here rather than only when the benchmark runs.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # End-to-end smoke of `atlarge serve`: boot it on an ephemeral port, check
 # /v1/experiments matches the committed catalog golden, hit one /v1/run

@@ -173,7 +173,7 @@ func runOnce(class workload.Class, kind cluster.Kind, policyName string, jobs in
 	rep := atlarge.NewReport("dcsim", fmt.Sprintf("%s on %s/%s", policy.Name(), class, kind))
 	rep.AddMetric(atlarge.Metric{Name: "mean_slowdown", Value: res.MeanSlowdown})
 	rep.AddMetric(atlarge.Metric{Name: "mean_response_s", Value: float64(res.MeanResponse), Unit: "s"})
-	rep.AddMetric(atlarge.Metric{Name: "jobs", Value: float64(len(res.Jobs))})
+	rep.AddMetric(atlarge.Metric{Name: "jobs", Value: float64(res.Completed)})
 	rep.AddMetric(atlarge.Metric{Name: "makespan_s", Value: float64(res.Makespan), Unit: "s"})
 	rep.AddMetric(atlarge.Metric{Name: "mean_wait_s", Value: res.MeanWait, Unit: "s"})
 	rep.AddMetric(atlarge.Metric{Name: "utilization", Value: res.UtilizationMean, HigherBetter: true})

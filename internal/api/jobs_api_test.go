@@ -308,9 +308,12 @@ func TestJobsInterruptedResume(t *testing.T) {
 // and its result answers 410 job_cancelled. A 64-replica sweep on one
 // worker gives the DELETE time to land; if the job wins the race anyway the
 // cancel-specific assertions are skipped, as in TestServeAsyncSweepCancel.
+// The test waits for the job to return before the temp dir is removed: a
+// cancelled sweep still checkpoints the tasks it had in flight.
 func TestJobsCancelPersists(t *testing.T) {
 	dir := t.TempDir()
 	api := New(Config{Parallelism: 1, StateDir: dir})
+	defer api.waitJobs()
 	srv := httptest.NewServer(api)
 	defer srv.Close()
 

@@ -141,6 +141,8 @@ type Server struct {
 	jobOrder     []string
 	evicted      map[string]bool
 	evictedOrder []string
+	// jobWG counts live runJob goroutines (see waitJobs).
+	jobWG sync.WaitGroup
 
 	// Prometheus instruments (see /metrics).
 	metrics      *metrics.Registry
@@ -923,12 +925,14 @@ func (s *Server) launchJob(w http.ResponseWriter, spec *scenario.Spec, cells []s
 		writeError(w, http.StatusInternalServerError, errInternal, "%v", err)
 		return nil, false, false
 	}
+	s.jobWG.Add(1)
 	go s.runJob(ctx, cancel, j, spec, cells, opt)
 	return j, true, true
 }
 
 // runJob executes one job's sweep and settles + persists its outcome.
 func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, spec *scenario.Spec, cells []scenario.Scenario, opt scenario.Options) {
+	defer s.jobWG.Done()
 	defer cancel()
 	opt.Progress = func(done, total int, id string) { j.progress(done, total) }
 	opt.SpanObserver = j.observeSpan
@@ -944,6 +948,14 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 	}
 	j.finish(result, err)
 	s.persistOutcome(j)
+}
+
+// waitJobs blocks until every launched job has returned: its sweep has
+// stopped (a cancelled sweep drains its in-flight tasks first) and its
+// outcome is persisted. After it, nothing writes to the state dir until
+// the next submission. It does not cancel anything.
+func (s *Server) waitJobs() {
+	s.jobWG.Wait()
 }
 
 // persistOutcome records a settled job's terminal state (and result bytes)
@@ -1051,6 +1063,7 @@ func (s *Server) resumeJob(rec *jobRecord) error {
 	if err := s.maybeDistribute(&opt, spec); err != nil {
 		return fmt.Errorf("api: recover job %s: %w", rec.ID, err)
 	}
+	s.jobWG.Add(1)
 	go s.runJob(ctx, cancel, j, spec, cells, opt)
 	return nil
 }

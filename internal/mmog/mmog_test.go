@@ -8,42 +8,51 @@ import (
 
 func TestGenerateWorld(t *testing.T) {
 	cfg := DefaultWorldConfig(500)
-	w := GenerateWorld(cfg)
-	if len(w.Entities) != 500 {
-		t.Fatalf("entities = %d", len(w.Entities))
+	w := GenerateWorldSoA(cfg)
+	if w.Len() != 500 || len(w.Y) != 500 || len(w.Actionable) != 500 {
+		t.Fatalf("entities = %d/%d/%d", w.Len(), len(w.Y), len(w.Actionable))
 	}
 	if len(w.POIs) != cfg.POIs {
 		t.Fatalf("POIs = %d", len(w.POIs))
 	}
-	for _, e := range w.Entities {
-		if e.X < 0 || e.X >= cfg.Size || e.Y < 0 || e.Y >= cfg.Size {
-			t.Fatalf("entity %d out of bounds: (%v,%v)", e.ID, e.X, e.Y)
+	for i := range w.X {
+		if w.X[i] < 0 || w.X[i] >= cfg.Size || w.Y[i] < 0 || w.Y[i] >= cfg.Size {
+			t.Fatalf("entity %d out of bounds: (%v,%v)", i, w.X[i], w.Y[i])
 		}
 	}
 }
 
+// allIdx returns the indices of every entity in w.
+func allIdx(w *WorldSoA) []int32 {
+	idxs := make([]int32, w.Len())
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	return idxs
+}
+
 func TestPairLoadQuadraticInCluster(t *testing.T) {
 	// All entities co-located: load ~ n(n-1)/2.
-	mk := func(n int) []Entity {
-		es := make([]Entity, n)
-		for i := range es {
-			es[i] = Entity{ID: i, X: 10, Y: 10, Actionable: true}
+	mk := func(n int) *WorldSoA {
+		w := &WorldSoA{Size: 100}
+		for i := 0; i < n; i++ {
+			w.X = append(w.X, 10)
+			w.Y = append(w.Y, 10)
+			w.Actionable = append(w.Actionable, true)
 		}
-		return es
+		return w
 	}
-	l10 := pairLoad(mk(10))
-	l20 := pairLoad(mk(20))
+	w10, w20 := mk(10), mk(20)
+	l10 := pairLoadIdx(w10, allIdx(w10))
+	l20 := pairLoadIdx(w20, allIdx(w20))
 	if l20 < 3.5*l10 {
 		t.Errorf("load not superlinear: l10=%v l20=%v", l10, l20)
 	}
 }
 
 func TestPairLoadIgnoresDistantPairs(t *testing.T) {
-	es := []Entity{
-		{ID: 1, X: 0, Y: 0, Actionable: true},
-		{ID: 2, X: 500, Y: 500, Actionable: true},
-	}
-	got := pairLoad(es)
+	w := &WorldSoA{Size: 1000, X: []float64{0, 500}, Y: []float64{0, 500}, Actionable: []bool{true, true}}
+	got := pairLoadIdx(w, allIdx(w))
 	want := 0 + 2*0.1 // no interacting pairs, only the linear term
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("pairLoad = %v, want %v", got, want)
@@ -51,8 +60,8 @@ func TestPairLoadIgnoresDistantPairs(t *testing.T) {
 }
 
 func TestZonePartitionerConservesEntities(t *testing.T) {
-	w := GenerateWorld(DefaultWorldConfig(300))
-	loads := ZonePartitioner{}.Loads(w, 9)
+	w := GenerateWorldSoA(DefaultWorldConfig(300))
+	loads := ZonePartitioner{}.Loads(w, 9, &PartitionScratch{})
 	if len(loads) != 9 {
 		t.Fatalf("loads = %d servers", len(loads))
 	}
@@ -69,28 +78,19 @@ func TestAoSBalancesBetterThanZones(t *testing.T) {
 	// Hot POI clustering: zones put the battle in one cell; AoS shards it.
 	cfg := DefaultWorldConfig(600)
 	cfg.HotFraction = 0.6
-	w := GenerateWorld(cfg)
+	w := GenerateWorldSoA(cfg)
 	servers := 16
-	zl := ZonePartitioner{}.Loads(w, servers)
-	al := AoSPartitioner{}.Loads(w, servers)
-	maxOf := func(xs []float64) float64 {
-		m := 0.0
-		for _, x := range xs {
-			if x > m {
-				m = x
-			}
-		}
-		return m
-	}
+	zl := ZonePartitioner{}.Loads(w, servers, &PartitionScratch{})
+	al := AoSPartitioner{}.Loads(w, servers, &PartitionScratch{})
 	if maxOf(al) >= maxOf(zl) {
 		t.Errorf("AoS max load %v not below zones max load %v", maxOf(al), maxOf(zl))
 	}
 }
 
 func TestMirrorReducesLoad(t *testing.T) {
-	w := GenerateWorld(DefaultWorldConfig(400))
-	a := AoSPartitioner{}.Loads(w, 8)
-	m := MirrorPartitioner{OffloadFraction: 0.5}.Loads(w, 8)
+	w := GenerateWorldSoA(DefaultWorldConfig(400))
+	a := AoSPartitioner{}.Loads(w, 8, &PartitionScratch{})
+	m := MirrorPartitioner{OffloadFraction: 0.5}.Loads(w, 8, &PartitionScratch{})
 	for i := range a {
 		if m[i] > a[i] {
 			t.Fatalf("mirror load %v above AoS load %v", m[i], a[i])

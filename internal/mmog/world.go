@@ -12,24 +12,22 @@ import (
 	"math/rand"
 )
 
-// Entity is a player avatar or game unit at a 2D position.
-type Entity struct {
-	ID int
-	X  float64
-	Y  float64
-	// Actionable entities (units in combat) generate interaction load.
-	Actionable bool
-}
-
-// World is a square virtual world of side Size with entities clustered
+// WorldSoA is a square virtual world of side Size with entities clustered
 // around points of interest — the workload shape the RTSenv study found:
 // multiple points of interest, tens of entities under careful management in
-// some, hundreds under casual management in others.
-type World struct {
-	Size     float64
-	Entities []Entity
-	POIs     [][2]float64
+// some, hundreds under casual management in others. Entity fields live in
+// parallel slices (struct of arrays), so the per-tick hot loops (wander,
+// binning, pair interaction) stream through dense float64 arrays. Actionable
+// entities (units in combat) generate interaction load.
+type WorldSoA struct {
+	Size       float64
+	X, Y       []float64
+	Actionable []bool
+	POIs       [][2]float64
 }
+
+// Len returns the entity count.
+func (w *WorldSoA) Len() int { return len(w.X) }
 
 // WorldConfig parameterizes world generation.
 type WorldConfig struct {
@@ -51,10 +49,15 @@ func DefaultWorldConfig(entities int) WorldConfig {
 	return WorldConfig{Size: 1000, POIs: 5, Entities: entities, Spread: 30, HotFraction: 0.4, Seed: 1}
 }
 
-// GenerateWorld builds a world with clustered entities.
-func GenerateWorld(cfg WorldConfig) *World {
+// GenerateWorldSoA builds a world with clustered entities.
+func GenerateWorldSoA(cfg WorldConfig) *WorldSoA {
 	r := rand.New(rand.NewSource(cfg.Seed))
-	w := &World{Size: cfg.Size}
+	w := &WorldSoA{
+		Size:       cfg.Size,
+		X:          make([]float64, 0, cfg.Entities),
+		Y:          make([]float64, 0, cfg.Entities),
+		Actionable: make([]bool, 0, cfg.Entities),
+	}
 	for p := 0; p < cfg.POIs; p++ {
 		w.POIs = append(w.POIs, [2]float64{r.Float64() * cfg.Size, r.Float64() * cfg.Size})
 	}
@@ -74,42 +77,56 @@ func GenerateWorld(cfg WorldConfig) *World {
 		} else {
 			poi = w.POIs[r.Intn(len(w.POIs))]
 		}
-		w.Entities = append(w.Entities, Entity{
-			ID:         i + 1,
-			X:          clamp(poi[0] + r.NormFloat64()*cfg.Spread),
-			Y:          clamp(poi[1] + r.NormFloat64()*cfg.Spread),
-			Actionable: r.Float64() < 0.6,
-		})
+		w.X = append(w.X, clamp(poi[0]+r.NormFloat64()*cfg.Spread))
+		w.Y = append(w.Y, clamp(poi[1]+r.NormFloat64()*cfg.Spread))
+		w.Actionable = append(w.Actionable, r.Float64() < 0.6)
 	}
 	return w
+}
+
+// nearestPOI returns the index of the point of interest closest to (x, y);
+// ties go to the lower index.
+func (w *WorldSoA) nearestPOI(x, y float64) int {
+	best, bestD := 0, math.Inf(1)
+	for p, poi := range w.POIs {
+		dx, dy := x-poi[0], y-poi[1]
+		if d := dx*dx + dy*dy; d < bestD {
+			bestD = d
+			best = p
+		}
+	}
+	return best
 }
 
 // InteractionRadius is the distance within which two actionable entities
 // interact (and thus cost simulation work).
 const InteractionRadius = 50.0
 
-// pairLoad computes the interaction load of a set of entities: the number of
-// actionable pairs within the interaction radius. This is the quadratic term
-// that limits MMOG scalability.
-func pairLoad(entities []Entity) float64 {
+// pairLoadIdx computes the interaction load of a group of entities, given as
+// indices into w: the number of actionable pairs within the interaction
+// radius — the quadratic term that limits MMOG scalability — plus a linear
+// baseline cost per entity (movement, state updates).
+func pairLoadIdx(w *WorldSoA, idxs []int32) float64 {
 	load := 0.0
-	for i := 0; i < len(entities); i++ {
-		if !entities[i].Actionable {
+	for a := 0; a < len(idxs); a++ {
+		i := idxs[a]
+		if !w.Actionable[i] {
 			continue
 		}
-		for j := i + 1; j < len(entities); j++ {
-			if !entities[j].Actionable {
+		xi, yi := w.X[i], w.Y[i]
+		for b := a + 1; b < len(idxs); b++ {
+			j := idxs[b]
+			if !w.Actionable[j] {
 				continue
 			}
-			dx := entities[i].X - entities[j].X
-			dy := entities[i].Y - entities[j].Y
+			dx := xi - w.X[j]
+			dy := yi - w.Y[j]
 			if dx*dx+dy*dy <= InteractionRadius*InteractionRadius {
 				load++
 			}
 		}
 	}
-	// Linear baseline cost per entity (movement, state updates).
-	return load + float64(len(entities))*0.1
+	return load + float64(len(idxs))*0.1
 }
 
 // Partitioner splits a world across servers and reports per-server load.
@@ -117,8 +134,65 @@ type Partitioner interface {
 	// Name identifies the technique.
 	Name() string
 	// Loads returns the per-server interaction load for the world when split
-	// over servers servers.
-	Loads(w *World, servers int) []float64
+	// over servers servers. The returned slice is owned by s and valid until
+	// the next Loads call with the same scratch.
+	Loads(w *WorldSoA, servers int, s *PartitionScratch) []float64
+}
+
+// PartitionScratch holds the reusable buffers of Partitioner.Loads. A zero
+// PartitionScratch is ready to use; buffers grow to the high-water mark of
+// entities/bins/shards and are then reused, so a steady-state tick
+// allocates nothing.
+type PartitionScratch struct {
+	bin        []int32 // per-entity bin id
+	counts     []int32 // per-bin entity count
+	cursor     []int32 // per-bin write cursor (ends after the scatter)
+	order      []int32 // entity indices grouped by bin, stable within a bin
+	shardStart []int32 // per-shard [start, end) ranges into order
+	shardEnd   []int32
+	shardLoads []float64
+	shardOrder []int
+	loads      []float64
+}
+
+func growInt32(b []int32, n int) []int32 {
+	if cap(b) < n {
+		return make([]int32, n)
+	}
+	return b[:n]
+}
+
+func growF64(b []float64, n int) []float64 {
+	if cap(b) < n {
+		return make([]float64, n)
+	}
+	return b[:n]
+}
+
+func growInts(b []int, n int) []int {
+	if cap(b) < n {
+		return make([]int, n)
+	}
+	return b[:n]
+}
+
+// groupByBin counting-sorts entity indices by s.bin into s.order: bins are
+// contiguous and entities keep ascending index order within a bin. nb is the
+// bin count; s.bin and s.counts must already be filled.
+func (s *PartitionScratch) groupByBin(n, nb int) {
+	s.cursor = growInt32(s.cursor, nb)
+	start := int32(0)
+	for b := 0; b < nb; b++ {
+		s.cursor[b] = start
+		start += s.counts[b]
+	}
+	s.order = growInt32(s.order, n)
+	for i := 0; i < n; i++ {
+		b := s.bin[i]
+		s.order[s.cursor[b]] = int32(i)
+		s.cursor[b]++
+	}
+	// s.cursor[b] is now the end offset of bin b; its start is end-counts[b].
 }
 
 // ZonePartitioner is classic static spatial zoning: the world is cut into a
@@ -130,31 +204,43 @@ type ZonePartitioner struct{}
 func (ZonePartitioner) Name() string { return "zones" }
 
 // Loads implements Partitioner.
-func (ZonePartitioner) Loads(w *World, servers int) []float64 {
+func (ZonePartitioner) Loads(w *WorldSoA, servers int, s *PartitionScratch) []float64 {
 	if servers < 1 {
 		servers = 1
 	}
 	// Grid side: ceil(sqrt(servers)) zones per axis.
 	side := int(math.Ceil(math.Sqrt(float64(servers))))
 	cell := w.Size / float64(side)
-	zones := make([][]Entity, side*side)
-	for _, e := range w.Entities {
-		zx := int(e.X / cell)
-		zy := int(e.Y / cell)
+	nb := side * side
+	n := w.Len()
+	s.bin = growInt32(s.bin, n)
+	s.counts = growInt32(s.counts, nb)
+	for b := range s.counts {
+		s.counts[b] = 0
+	}
+	for i := 0; i < n; i++ {
+		zx := int(w.X[i] / cell)
+		zy := int(w.Y[i] / cell)
 		if zx >= side {
 			zx = side - 1
 		}
 		if zy >= side {
 			zy = side - 1
 		}
-		idx := zy*side + zx
-		zones[idx] = append(zones[idx], e)
+		b := int32(zy*side + zx)
+		s.bin[i] = b
+		s.counts[b]++
 	}
-	loads := make([]float64, servers)
-	for i, z := range zones {
-		loads[i%servers] += pairLoad(z)
+	s.groupByBin(n, nb)
+	s.loads = growF64(s.loads, servers)
+	for i := range s.loads {
+		s.loads[i] = 0
 	}
-	return loads
+	for b := 0; b < nb; b++ {
+		end := s.cursor[b]
+		s.loads[b%servers] += pairLoadIdx(w, s.order[end-s.counts[b]:end])
+	}
+	return s.loads
 }
 
 // AoSPartitioner is the Area-of-Simulation technique: simulation areas form
@@ -165,71 +251,84 @@ type AoSPartitioner struct{}
 // Name implements Partitioner.
 func (AoSPartitioner) Name() string { return "area-of-simulation" }
 
-// Loads implements Partitioner.
-func (AoSPartitioner) Loads(w *World, servers int) []float64 {
+// aosShardCap is the AoS area population cap: inside one area entities are
+// interchangeable (same interest), so larger areas shard into chunks of this
+// size and only pay a small cross-shard synchronization overhead.
+const aosShardCap = 80
+
+// Loads implements Partitioner: each entity joins the area of its nearest
+// POI, areas shard at aosShardCap, and shards are assigned to servers
+// longest first.
+func (AoSPartitioner) Loads(w *WorldSoA, servers int, s *PartitionScratch) []float64 {
 	if servers < 1 {
 		servers = 1
 	}
-	// Assign each entity to its nearest POI; each POI area may further be
-	// split into sub-areas when overloaded (the AoS mechanism caps area
-	// population by interest, not geography).
-	areas := make([][]Entity, len(w.POIs))
-	for _, e := range w.Entities {
-		best, bestD := 0, math.Inf(1)
-		for p, poi := range w.POIs {
-			dx, dy := e.X-poi[0], e.Y-poi[1]
-			if d := dx*dx + dy*dy; d < bestD {
-				bestD = d
-				best = p
-			}
+	n := w.Len()
+	nb := len(w.POIs)
+	s.bin = growInt32(s.bin, n)
+	s.counts = growInt32(s.counts, nb)
+	for b := range s.counts {
+		s.counts[b] = 0
+	}
+	for i := 0; i < n; i++ {
+		best := w.nearestPOI(w.X[i], w.Y[i])
+		s.bin[i] = int32(best)
+		s.counts[best]++
+	}
+	s.groupByBin(n, nb)
+	// Chunk each area into shards of at most aosShardCap entities, in area
+	// order.
+	s.shardStart = s.shardStart[:0]
+	s.shardEnd = s.shardEnd[:0]
+	for b := 0; b < nb; b++ {
+		end := s.cursor[b]
+		a := end - s.counts[b]
+		for end-a > aosShardCap {
+			s.shardStart = append(s.shardStart, a)
+			s.shardEnd = append(s.shardEnd, a+aosShardCap)
+			a += aosShardCap
 		}
-		areas[best] = append(areas[best], e)
-	}
-	// Split any area larger than cap into chunks: inside one area entities
-	// are interchangeable (same interest), so AoS can shard them and only
-	// pay a small cross-shard synchronization overhead.
-	const cap = 80
-	var shards [][]Entity
-	for _, a := range areas {
-		for len(a) > cap {
-			shards = append(shards, a[:cap])
-			a = a[cap:]
-		}
-		if len(a) > 0 {
-			shards = append(shards, a)
+		if end-a > 0 {
+			s.shardStart = append(s.shardStart, a)
+			s.shardEnd = append(s.shardEnd, end)
 		}
 	}
-	// LPT assignment of shard loads to servers.
-	loads := make([]float64, servers)
-	shardLoads := make([]float64, len(shards))
-	for i, sh := range shards {
-		// Cross-shard sync overhead: 5% per shard beyond the first of an area.
-		shardLoads[i] = pairLoad(sh) * 1.05
+	ns := len(s.shardStart)
+	s.shardLoads = growF64(s.shardLoads, ns)
+	for i := 0; i < ns; i++ {
+		// Cross-shard sync overhead: 5% per shard.
+		s.shardLoads[i] = pairLoadIdx(w, s.order[s.shardStart[i]:s.shardEnd[i]]) * 1.05
 	}
-	// Sort descending by load (simple selection for small n).
-	order := make([]int, len(shards))
-	for i := range order {
-		order[i] = i
+	// Descending selection sort of shard indices (small n). Its swaps are
+	// unstable; outputs are pinned to this exact order of equal-load shards.
+	s.shardOrder = growInts(s.shardOrder, ns)
+	for i := range s.shardOrder {
+		s.shardOrder[i] = i
 	}
-	for i := 0; i < len(order); i++ {
+	for i := 0; i < ns; i++ {
 		maxJ := i
-		for j := i + 1; j < len(order); j++ {
-			if shardLoads[order[j]] > shardLoads[order[maxJ]] {
+		for j := i + 1; j < ns; j++ {
+			if s.shardLoads[s.shardOrder[j]] > s.shardLoads[s.shardOrder[maxJ]] {
 				maxJ = j
 			}
 		}
-		order[i], order[maxJ] = order[maxJ], order[i]
+		s.shardOrder[i], s.shardOrder[maxJ] = s.shardOrder[maxJ], s.shardOrder[i]
 	}
-	for _, idx := range order {
+	s.loads = growF64(s.loads, servers)
+	for i := range s.loads {
+		s.loads[i] = 0
+	}
+	// LPT assignment of shard loads to servers.
+	for _, idx := range s.shardOrder {
 		minS := 0
-		for s := 1; s < servers; s++ {
-			if loads[s] < loads[minS] {
-				minS = s
+		for srv := 1; srv < servers; srv++ {
+			if s.loads[srv] < s.loads[minS] {
+				minS = srv
 			}
 		}
-		loads[minS] += shardLoads[idx]
+		s.loads[minS] += s.shardLoads[idx]
 	}
-	return loads
+	return s.loads
 }
 
 // MirrorPartitioner is AoS plus Mirror-style computation offloading: a cloud
@@ -242,8 +341,9 @@ type MirrorPartitioner struct {
 // Name implements Partitioner.
 func (m MirrorPartitioner) Name() string { return "mirror" }
 
-// Loads implements Partitioner.
-func (m MirrorPartitioner) Loads(w *World, servers int) []float64 {
+// Loads implements Partitioner: the AoS loads scaled by the retained
+// fraction.
+func (m MirrorPartitioner) Loads(w *WorldSoA, servers int, s *PartitionScratch) []float64 {
 	frac := m.OffloadFraction
 	if frac < 0 {
 		frac = 0
@@ -251,7 +351,7 @@ func (m MirrorPartitioner) Loads(w *World, servers int) []float64 {
 	if frac > 0.9 {
 		frac = 0.9
 	}
-	loads := AoSPartitioner{}.Loads(w, servers)
+	loads := AoSPartitioner{}.Loads(w, servers, s)
 	for i := range loads {
 		loads[i] *= 1 - frac
 	}
@@ -261,11 +361,11 @@ func (m MirrorPartitioner) Loads(w *World, servers int) []float64 {
 // MaxSupportedPlayers finds the largest entity count (by doubling then
 // bisecting) for which the maximum per-server load stays within budget.
 func MaxSupportedPlayers(p Partitioner, servers int, budget float64, seed int64) int {
+	var scratch PartitionScratch
 	ok := func(n int) bool {
 		cfg := DefaultWorldConfig(n)
 		cfg.Seed = seed
-		w := GenerateWorld(cfg)
-		loads := p.Loads(w, servers)
+		loads := p.Loads(GenerateWorldSoA(cfg), servers, &scratch)
 		maxL := 0.0
 		for _, l := range loads {
 			if l > maxL {

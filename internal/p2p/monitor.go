@@ -170,32 +170,21 @@ func (m Monitor) Scrape(eco *Ecosystem) (*MonitorReport, error) {
 	contentSwarms := make(map[int]int)
 	contentFormats := make(map[int]map[string]bool)
 
-	// Median swarm population across the sample, for spam detection.
-	var popByTracker []float64
+	// Spam detection compares each tracker's typical (median) swarm size
+	// with the typical tracker's. The median, unlike the mean, ignores the
+	// few giant swarms any real tracker may carry, so a spam tracker that
+	// inflates every swarm stands out even when its contents are unpopular.
+	typical := make([]float64, 0, n)
 	sample := make([]Tracker, 0, n)
 	for _, i := range idx[:n] {
 		tr := eco.Trackers[i]
 		sample = append(sample, tr)
-		tot := 0
-		for _, sw := range tr.Swarms {
-			tot += sw.Seeds + sw.Leechers
-		}
-		if len(tr.Swarms) > 0 {
-			popByTracker = append(popByTracker, float64(tot)/float64(len(tr.Swarms)))
-		}
+		typical = append(typical, medianSwarmSize(tr))
 	}
-	medianPop := median(popByTracker)
+	medianPop := median(typical)
 
-	for _, tr := range sample {
-		avg := 0.0
-		if len(tr.Swarms) > 0 {
-			tot := 0
-			for _, sw := range tr.Swarms {
-				tot += sw.Seeds + sw.Leechers
-			}
-			avg = float64(tot) / float64(len(tr.Swarms))
-		}
-		if m.FilterSpam && medianPop > 0 && avg > 10*medianPop {
+	for k, tr := range sample {
+		if m.FilterSpam && medianPop > 0 && typical[k] > 10*medianPop {
 			continue // implausibly inflated: classified as spam
 		}
 		for _, sw := range tr.Swarms {
@@ -241,4 +230,14 @@ func median(xs []float64) float64 {
 	cp := append([]float64(nil), xs...)
 	sort.Float64s(cp)
 	return cp[len(cp)/2]
+}
+
+// medianSwarmSize is the median reported population of a tracker's swarms
+// (0 for a tracker with none).
+func medianSwarmSize(tr Tracker) float64 {
+	sizes := make([]float64, len(tr.Swarms))
+	for i, sw := range tr.Swarms {
+		sizes[i] = float64(sw.Seeds + sw.Leechers)
+	}
+	return median(sizes)
 }

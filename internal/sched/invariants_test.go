@@ -60,6 +60,50 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 	}
 }
 
+// TestSaturatedRunInvariants checks the per-job invariants where the queue
+// only grows: 1000 synthetic clients at their calibrated rate offer about
+// 1.45x the capacity of 3 machines of 8 cores (the shape of the benchmark's
+// sched-overload workload). The trace spans several feed chunks, so arrivals
+// keep landing while the backlog is deep.
+func TestSaturatedRunInvariants(t *testing.T) {
+	const jobs = 3 * feedBatch
+	for _, seed := range []int64{1, 2} {
+		pop := &workload.Population{Clients: 1000, Mix: workload.SingleClass(workload.ClassSynthetic), Seed: seed}
+		src, err := pop.Source()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := workload.Collect(src, jobs)
+		src.Close()
+		for _, policy := range []Policy{FCFS(), SJF(), EASYBackfill(), FairShare()} {
+			env := cluster.NewHomogeneous(cluster.KindCluster, 1, 3, 8)
+			res, err := NewSimulator(env, tr, policy, seed).Run()
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, policy.Name(), err)
+			}
+			if res.Completed != jobs || len(res.Jobs) != jobs {
+				t.Fatalf("seed %d %s: Completed = %d with %d job stats, want %d",
+					seed, policy.Name(), res.Completed, len(res.Jobs), jobs)
+			}
+			seen := make(map[int]bool, jobs)
+			for _, js := range res.Jobs {
+				if seen[js.JobID] {
+					t.Fatalf("seed %d %s: job %d finished twice", seed, policy.Name(), js.JobID)
+				}
+				seen[js.JobID] = true
+				if js.Start < js.Submit || js.Finish < js.Start {
+					t.Fatalf("seed %d %s: job %d submit %v, start %v, finish %v",
+						seed, policy.Name(), js.JobID, js.Submit, js.Start, js.Finish)
+				}
+			}
+			if env.FreeCores() != env.TotalCores() {
+				t.Errorf("seed %d %s: %d of %d cores still claimed",
+					seed, policy.Name(), env.TotalCores()-env.FreeCores(), env.TotalCores())
+			}
+		}
+	}
+}
+
 // TestSlowdownAtLeastOneProperty checks the bounded-slowdown floor.
 func TestSlowdownAtLeastOneProperty(t *testing.T) {
 	f := func(seed int64) bool {

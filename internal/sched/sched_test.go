@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"atlarge/internal/cluster"
@@ -273,12 +274,38 @@ func TestRunAllDeterministic(t *testing.T) {
 	}
 }
 
-func TestCloneTraceIsolation(t *testing.T) {
-	tr := &workload.Trace{Jobs: []*workload.Job{mkJob(1, 0, 1, 10)}}
-	cp := cloneTrace(tr)
-	cp.Jobs[0].Tasks[0].Runtime = 99
-	if tr.Jobs[0].Tasks[0].Runtime != 10 {
-		t.Error("cloneTrace shares task storage")
+// TestRunOutOfOrderTrace pins the sort Run needs before handing a trace to
+// RunSource, which rejects a decreasing submit: a trace whose jobs are out of
+// submit order must give the same Result as the sorted trace, crossing
+// several feed chunks, and the caller's trace must stay as it was.
+func TestRunOutOfOrderTrace(t *testing.T) {
+	sorted := workload.StandardGenerator(workload.ClassSynthetic).Generate(3*feedBatch, rand.New(rand.NewSource(3)))
+	sorted.SortBySubmit()
+	for i := 1; i < len(sorted.Jobs); i++ {
+		if sorted.Jobs[i].Submit == sorted.Jobs[i-1].Submit {
+			t.Fatalf("jobs %d and %d share a submit time; the sorted order would be ambiguous", i-1, i)
+		}
+	}
+	shuffled := &workload.Trace{}
+	for _, i := range rand.New(rand.NewSource(4)).Perm(len(sorted.Jobs)) {
+		shuffled.Jobs = append(shuffled.Jobs, sorted.Jobs[i])
+	}
+	before := shuffled.Clone()
+	env := func() *cluster.Environment { return cluster.NewHomogeneous(cluster.KindCluster, 1, 3, 8) }
+	want, err := NewSimulator(env(), sorted, EASYBackfill(), 1).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewSimulator(env(), shuffled, EASYBackfill(), 1).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Completed != len(sorted.Jobs) || !reflect.DeepEqual(got, want) {
+		t.Errorf("out-of-order trace: completed %d, mean response %v; sorted trace: %d, %v",
+			got.Completed, got.MeanResponse, want.Completed, want.MeanResponse)
+	}
+	if !reflect.DeepEqual(shuffled, before) {
+		t.Error("Run reordered or mutated the caller's trace")
 	}
 }
 

@@ -26,8 +26,9 @@ type JobStats struct {
 // Result aggregates one simulation run.
 type Result struct {
 	Policy string
-	// Jobs holds per-job stats for materialized runs; streaming runs
-	// (RunSource) aggregate incrementally and leave it nil.
+	// Jobs holds per-job stats in completion order, for runs started with
+	// Run only: RunSource keeps just the aggregates below and leaves it nil,
+	// so its memory does not grow with the stream.
 	Jobs            []JobStats
 	Completed       int // number of jobs that finished (== len(Jobs) when kept)
 	Makespan        sim.Duration
@@ -59,14 +60,16 @@ type Simulator struct {
 	jobLeft     map[int]int                    // job ID -> unfinished task count
 	jobStart    map[int]sim.Time               // job ID -> first task start
 	jobStarted  map[int]bool                   //
-	stats       []JobStats                     //
-	rec         sim.Recorder                   //
 	estFinish   map[*cluster.Machine][]estSlot // for EASY reservations
 
-	// stream is non-nil for RunSource runs: jobs are fed incrementally and
-	// per-job state is reclaimed on finish, so memory tracks in-flight jobs
-	// rather than stream length.
-	stream *streamState
+	// stream is the run's job source and its result aggregates: jobs are
+	// fed in chunks and every per-job map entry is reclaimed on finish, so
+	// memory tracks in-flight jobs rather than stream length.
+	stream streamState
+	// keepJobs is set while Run executes: finished jobs' stats are also
+	// kept for Result.Jobs.
+	keepJobs bool
+	jobs     []JobStats
 
 	// Flattened machine list (with the owning cluster per slot), built once
 	// per run so placement does not walk the cluster nesting every probe.
@@ -95,7 +98,7 @@ func NewSimulator(env *cluster.Environment, tr *workload.Trace, p Policy, seed i
 	return &Simulator{env: env, trace: tr, policy: p, seed: seed}
 }
 
-// initRun prepares the kernel and per-run state shared by Run and RunSource.
+// initRun prepares the kernel and the per-run state.
 func (s *Simulator) initRun() {
 	s.k = sim.NewKernel(s.seed)
 	s.running = make(map[*TaskState]*cluster.Machine)
@@ -107,6 +110,7 @@ func (s *Simulator) initRun() {
 	s.estFinish = make(map[*cluster.Machine][]estSlot)
 	s.ctx = &Context{ServedWork: make(map[int]float64), Rand: s.k.Rand("policy")}
 	s.minWidth = math.MaxInt
+	s.jobs = nil
 	s.machines = s.machines[:0]
 	s.machClusters = s.machClusters[:0]
 	for _, cl := range s.env.Clusters {
@@ -117,28 +121,15 @@ func (s *Simulator) initRun() {
 	}
 }
 
-// Run executes the simulation to completion and returns the aggregate result.
+// Run executes the simulator's trace to completion: it is RunSource over
+// the trace stably sorted by submit time (simultaneous submissions keep
+// their trace order), and its Result also carries the per-job stats.
 func (s *Simulator) Run() (*Result, error) {
-	s.initRun()
-
-	arrivals := make([]sim.BatchEvent, 0, len(s.trace.Jobs))
-	for _, job := range s.trace.Jobs {
-		if err := job.ValidateDAG(); err != nil {
-			return nil, fmt.Errorf("sched: %w", err)
-		}
-		job := job
-		s.jobLeft[job.ID] = len(job.Tasks)
-		arrivals = append(arrivals, sim.BatchEvent{
-			At: job.Submit, Name: "job-arrive",
-			Fn: func(k *sim.Kernel) { s.onJobArrive(job) },
-		})
-	}
-	s.k.Reserve(len(arrivals))
-	s.k.AtBatch(arrivals)
-	if err := s.k.Run(); err != nil {
-		return nil, fmt.Errorf("sched: run: %w", err)
-	}
-	return s.buildResult(), nil
+	sorted := &workload.Trace{Jobs: slices.Clone(s.trace.Jobs)}
+	sorted.SortBySubmit()
+	s.keepJobs = true
+	defer func() { s.keepJobs = false }()
+	return s.RunSource(sorted.Source())
 }
 
 func (s *Simulator) onJobArrive(job *workload.Job) {
@@ -386,59 +377,18 @@ func (s *Simulator) finishJob(job *workload.Job) {
 	if js.Slowdown < 1 {
 		js.Slowdown = 1
 	}
-	if st := s.stream; st != nil {
-		// Streaming mode: fold the stats into running aggregates and drop
-		// every per-job map entry, so finished jobs cost nothing.
-		st.accumulate(js)
-		delete(s.jobStart, job.ID)
-		delete(s.jobStarted, job.ID)
-		delete(s.jobLeft, job.ID)
-		delete(s.ctx.ServedWork, job.ID)
-		return
+	s.stream.accumulate(js)
+	if s.keepJobs {
+		s.jobs = append(s.jobs, js)
 	}
-	s.stats = append(s.stats, js)
+	delete(s.jobStart, job.ID)
+	delete(s.jobStarted, job.ID)
+	delete(s.jobLeft, job.ID)
+	delete(s.ctx.ServedWork, job.ID)
 }
 
 func (s *Simulator) recordUtilization() {
-	if st := s.stream; st != nil {
-		st.recordUtil(s.k.Now(), s.env.Utilization())
-		return
-	}
-	s.rec.Record("util", s.k.Now(), s.env.Utilization())
-}
-
-func (s *Simulator) buildResult() *Result {
-	if st := s.stream; st != nil {
-		return st.buildResult(s.policy.Name(), s.k.Now())
-	}
-	res := &Result{Policy: s.policy.Name(), Jobs: s.stats, Completed: len(s.stats), Horizon: s.k.Now()}
-	if len(s.stats) == 0 {
-		return res
-	}
-	var firstSubmit, lastFinish sim.Time
-	firstSubmit = s.stats[0].Submit
-	var sumSd, sumResp, sumWait float64
-	for _, js := range s.stats {
-		if js.Submit < firstSubmit {
-			firstSubmit = js.Submit
-		}
-		if js.Finish > lastFinish {
-			lastFinish = js.Finish
-		}
-		sumSd += js.Slowdown
-		sumResp += float64(js.Response)
-		sumWait += float64(js.Wait)
-		if !js.DeadlineMet {
-			res.DeadlineMisses++
-		}
-	}
-	n := float64(len(s.stats))
-	res.Makespan = lastFinish - firstSubmit
-	res.MeanSlowdown = sumSd / n
-	res.MeanResponse = sumResp / n
-	res.MeanWait = sumWait / n
-	res.UtilizationMean = s.rec.TimeWeightedMean("util", s.k.Now())
-	return res
+	s.stream.recordUtil(s.k.Now(), s.env.Utilization())
 }
 
 // RunAll runs the trace under every policy on fresh copies of the
@@ -447,7 +397,7 @@ func (s *Simulator) buildResult() *Result {
 func RunAll(envFactory func() *cluster.Environment, tr *workload.Trace, policies []Policy, seed int64) (map[string]*Result, error) {
 	out := make(map[string]*Result, len(policies))
 	for _, p := range policies {
-		res, err := NewSimulator(envFactory(), cloneTrace(tr), p, seed).Run()
+		res, err := NewSimulator(envFactory(), tr, p, seed).Run()
 		if err != nil {
 			return nil, fmt.Errorf("sched: policy %s: %w", p.Name(), err)
 		}
@@ -455,7 +405,3 @@ func RunAll(envFactory func() *cluster.Environment, tr *workload.Trace, policies
 	}
 	return out, nil
 }
-
-// cloneTrace deep-copies a trace so concurrent or repeated runs cannot share
-// task state.
-func cloneTrace(tr *workload.Trace) *workload.Trace { return tr.Clone() }

@@ -12,9 +12,9 @@ import (
 // dispatch cycle never sees a partial view of simultaneous arrivals.
 const feedBatch = 256
 
-// streamState carries everything a streaming run keeps instead of O(jobs)
-// slices and maps: the source cursor, the reusable feed buffer, and scalar
-// aggregates equivalent to what buildResult derives from []JobStats.
+// streamState carries everything a run keeps instead of O(jobs) slices and
+// maps: the source cursor, the reusable feed buffer, and the scalar
+// aggregates the Result is built from.
 type streamState struct {
 	src   workload.JobSource
 	carry *workload.Job // first job of the next chunk (already cloned)
@@ -31,7 +31,7 @@ type streamState struct {
 	firstSubmit sim.Time
 	lastFinish  sim.Time
 
-	// Incremental form of Recorder.TimeWeightedMean over the util series:
+	// Time-weighted mean of the utilization samples, kept incrementally:
 	// samples are piecewise-constant from utilAt, integrated since utilT0.
 	utilInit bool
 	utilT0   sim.Time
@@ -84,29 +84,38 @@ func (st *streamState) buildResult(policy string, horizon sim.Time) *Result {
 	return res
 }
 
-// RunSource executes the simulation against a pull-based job stream instead
-// of a materialized trace: arrivals are fed in feedBatch chunks, per-job
-// state is reclaimed as jobs finish, and stats are aggregated incrementally,
-// so resident memory is proportional to in-flight jobs — independent of how
-// many jobs the source emits. The source must emit jobs in non-decreasing
-// Submit order (the JobSource contract); RunSource does not Close it.
+// RunSource executes the simulation against a pull-based job stream:
+// arrivals are fed in feedBatch chunks, per-job state is reclaimed as jobs
+// finish, and stats are aggregated incrementally, so resident memory is
+// proportional to in-flight jobs — independent of how many jobs the source
+// emits. The source must emit jobs in non-decreasing Submit order (the
+// JobSource contract); RunSource does not Close it. Run is RunSource over
+// the sorted trace.
 //
-// For a valid submit-ordered stream the simulation is event-for-event the
-// run Run would execute on the materialized equivalent.
+// Arrivals are scheduled chunk by chunk as the feed pulls them, not all at
+// the start of the run. So when a stream is longer than feedBatch and a task
+// finish falls exactly on the submit time of a job in a later chunk, the
+// finish was scheduled first and fires before that arrival. Run behaves the
+// same, since it is this loop.
 func (s *Simulator) RunSource(src workload.JobSource) (*Result, error) {
-	s.stream = &streamState{src: src}
 	s.initRun()
+	s.stream = streamState{src: src}
+	st := &s.stream
 	s.feed()
-	if s.stream.err != nil {
-		return nil, s.stream.err
+	if st.err != nil {
+		return nil, st.err
 	}
 	if err := s.k.Run(); err != nil {
 		return nil, fmt.Errorf("sched: run: %w", err)
 	}
-	if s.stream.err != nil {
-		return nil, s.stream.err
+	if st.err != nil {
+		return nil, st.err
 	}
-	return s.buildResult(), nil
+	res := st.buildResult(s.policy.Name(), s.k.Now())
+	if s.keepJobs {
+		res.Jobs = s.jobs
+	}
+	return res, nil
 }
 
 // feed pulls the next chunk of jobs, schedules their arrivals, and — if the
@@ -114,10 +123,9 @@ func (s *Simulator) RunSource(src workload.JobSource) (*Result, error) {
 // A chunk only ends once the next job's submit time strictly advances, so
 // all arrivals sharing an instant land in one batch; the feed event then
 // fires after those arrivals but before their dispatch cycle (its sequence
-// number predates the dispatch event's), keeping the event order identical
-// to a fully materialized run.
+// number predates the dispatch event's), so the cycle sees the whole instant.
 func (s *Simulator) feed() {
-	st := s.stream
+	st := &s.stream
 	buf := st.batch[:0]
 	j := st.carry
 	st.carry = nil

@@ -9,9 +9,9 @@ import (
 	"atlarge/internal/workload"
 )
 
-// TestRunSourceMatchesRun pins that streaming execution is event-for-event
-// the run Run performs on the materialized trace: every aggregate metric must
-// be bit-identical, for several policies and workload classes.
+// TestRunSourceMatchesRun pins that Run is RunSource over the trace plus the
+// per-job stats: every aggregate metric must be bit-identical, for several
+// policies and workload classes, and only Run keeps Result.Jobs.
 func TestRunSourceMatchesRun(t *testing.T) {
 	cases := []struct {
 		class  workload.Class
@@ -38,6 +38,9 @@ func TestRunSourceMatchesRun(t *testing.T) {
 			}
 			if got.Jobs != nil {
 				t.Error("streaming result should not materialize per-job stats")
+			}
+			if len(want.Jobs) != want.Completed {
+				t.Errorf("Run kept %d job stats for %d completed jobs", len(want.Jobs), want.Completed)
 			}
 			if got.Completed != want.Completed || got.Completed != 300 {
 				t.Errorf("Completed = %d, want %d", got.Completed, want.Completed)
@@ -122,7 +125,7 @@ func TestRunSourceBoundedMemory(t *testing.T) {
 	}
 }
 
-// errSource emits a fixed list of jobs, for protocol-violation tests.
+// listSource emits a fixed list of jobs, for protocol-violation tests.
 type listSource struct {
 	jobs []*workload.Job
 	i    int
