@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare run-all scenario-golden catalog-golden perfbench-test serve-smoke serve-load serve-restart-smoke sweep-resume-smoke trace-smoke dist-smoke stream-smoke clean
+.PHONY: all build test test-short lint fmt vet bench bench-base bench-compare run-all scenario-golden catalog-golden perfbench-test fuzz-smoke serve-smoke serve-load serve-restart-smoke sweep-resume-smoke trace-smoke dist-smoke stream-smoke clean
 
 all: build lint test
 
@@ -85,12 +85,20 @@ perfbench-test:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
+# Short fuzz pass over the spec boundary the serve API exposes to remote
+# clients: Parse + Expand must never panic, and a successful expansion must
+# have exactly SweepSize cells (the server's pre-expansion cell bound relies
+# on it). See FuzzParseSpec in internal/scenario.
+fuzz-smoke:
+	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s
+
 # End-to-end smoke of `atlarge serve`: boot it on an ephemeral port, check
 # /v1/experiments matches the committed catalog golden, hit one /v1/run
-# twice (the second, cached response must be byte-identical), drive a job
-# through the redesigned /v1/jobs resource AND the deprecated
-# /v1/scenario/jobs alias (both must serve the same result bytes, and an
-# identical resubmission must dedup onto the same job), and scrape /metrics.
+# twice (the second, cached response must be byte-identical), drive a sweep
+# through /v1/jobs (its result bytes must equal `atlarge scenario sweep
+# --format json` on the same spec, and an identical resubmission must dedup
+# onto the same job), check the removed POST /v1/scenario/sweep is no
+# longer routed, and scrape /metrics.
 serve-smoke:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'kill "$$pid" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
@@ -120,17 +128,17 @@ serve-smoke:
 	done; \
 	grep -q '"state": "done"' "$$tmp/doc.json" || { echo "serve-smoke: job never finished"; cat "$$tmp/doc.json"; exit 1; }; \
 	curl -fsS "$$url/v1/jobs/$$id/result" > "$$tmp/result.json"; \
-	curl -fsS -X POST --data-binary @"$$tmp/spec.json" "$$url/v1/scenario/sweep" > "$$tmp/sync.json"; \
-	cmp "$$tmp/result.json" "$$tmp/sync.json"; \
+	"$$tmp/atlarge" scenario sweep "$$tmp/spec.json" --format json > "$$tmp/cli.json"; \
+	cmp "$$tmp/result.json" "$$tmp/cli.json"; \
 	curl -fsS -X POST --data-binary @"$$tmp/job.json" "$$url/v1/jobs" | grep -q "\"id\": \"$$id\"" \
 		|| { echo "serve-smoke: identical resubmission did not dedup"; exit 1; }; \
-	curl -fsS "$$url/v1/scenario/jobs/$$id/result" > "$$tmp/legacy-result.json"; \
-	cmp "$$tmp/legacy-result.json" "$$tmp/result.json"; \
+	code=$$(curl -sS -o /dev/null -w '%{http_code}' -X POST --data-binary @"$$tmp/spec.json" "$$url/v1/scenario/sweep"); \
+	case "$$code" in 2*) echo "serve-smoke: POST /v1/scenario/sweep still answers $$code"; exit 1;; esac; \
 	curl -fsS "$$url/metrics" > "$$tmp/metrics.txt"; \
 	for m in atlarge_queue_depth atlarge_cache_hit_ratio atlarge_http_requests_total atlarge_jobs; do \
 		grep -q "$$m" "$$tmp/metrics.txt" || { echo "serve-smoke: /metrics missing $$m"; exit 1; }; \
 	done; \
-	echo "serve-smoke: OK (run cache, /v1/jobs, dedup, legacy alias, /metrics)"
+	echo "serve-smoke: OK (run cache, /v1/jobs result == CLI sweep, dedup, /v1/scenario/sweep unrouted, /metrics)"
 
 # Load-test the serving layer in-process: N concurrent clients of mixed
 # /v1/run and async /v1/jobs traffic; asserts zero dropped jobs, a

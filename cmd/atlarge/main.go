@@ -11,7 +11,6 @@
 //	atlarge trace --spec <spec.json> [--cell ID] [--seed N] [--dir DIR] [--wall] [--events N]
 //	atlarge trace --validate <trace.json>
 //	atlarge scenario validate <spec.json> [--domain D]
-//	atlarge scenario run <spec.json> [--domain D] [--seed N] [--parallel P] [--replicas R] [--format text|json|csv] [--progress] [--timeout D]
 //	atlarge scenario sweep <spec.json> [--domain D] [--seed N] [--parallel P] [--replicas R] [--format text|json|csv] [--progress] [--timeout D] [--checkpoint DIR] [--workers H1,H2] [--trace-dir DIR] [--trace-wall]
 //
 // Experiments: fig1 fig2 fig3 fig7 fig9 tab5 tab6 tab7 tab8 tab9 autoscale bdc
@@ -28,20 +27,20 @@
 // serve exposes the same results over HTTP: GET /v1/experiments (catalog),
 // GET /v1/run?ids=&seed=&replicas= (typed results, LRU-cached per
 // (experiment, seed, replicas) so repeated queries skip the simulation),
-// GET /v1/run/stream (the same run as live NDJSON progress events),
-// POST /v1/scenario/sweep (a scenario spec as the request body, run
-// synchronously), and the async jobs resource: POST /v1/jobs submits
-// {"kind": "sweep", "spec": {...}} and GET/DELETE /v1/jobs/{id} (plus
-// /result) steer it. Job IDs are the content hash of (spec, seed,
-// replicas), so identical submissions dedup onto one job. GET /metrics
+// GET /v1/run/stream (the same run as live NDJSON progress events), and
+// the jobs resource, the one way to run a sweep over HTTP: POST /v1/jobs
+// submits {"kind": "sweep", "spec": {...}}, GET/DELETE /v1/jobs/{id} (plus
+// /result and /profile) steer it, and the result bytes equal `scenario
+// sweep --format json` for the same spec. Job IDs are the content hash of
+// (spec, seed, replicas), so identical submissions dedup onto one job.
+// Specs naming a server-side workload.trace file are refused. GET /metrics
 // exports Prometheus text-format server metrics. With --state-dir, jobs are
 // durable: an interrupted server re-lists finished jobs on restart and
 // resumes interrupted ones byte-identically from their checkpointed tasks.
 // --rate/--burst rate-limit work-submitting endpoints per client (keyed by
 // the X-Atlarge-Client header or remote host), and --queue-depth refuses
 // submissions with 429 + a computed Retry-After once the pending-task queue
-// is that deep. /v1/scenario/jobs/* remains as a deprecated alias of
-// /v1/jobs.
+// is that deep.
 //
 // trace runs one experiment or one scenario cell sequentially with the
 // kernel tracer and executor task spans attached, writes the capture as
@@ -73,12 +72,13 @@
 // byte-identical to an in-process run at any worker count.
 //
 // scenario drives the declarative what-if engine (internal/scenario):
-// validate checks a spec and reports every problem, run executes an unswept
-// spec, and sweep expands the spec's axis lists into the cross-product of
-// concrete scenarios and renders the comparative report. Specs name a
-// simulation domain (sched, autoscale, mmog — see `atlarge list --domains`);
-// --domain fills the domain of a spec that omits it, and otherwise must
-// match the spec's declaration. See examples/scenarios/ for runnable specs.
+// validate checks a spec and reports every problem, and sweep expands the
+// spec's axis lists into the cross-product of concrete scenarios and renders
+// the comparative report; a spec without sweep axes runs as its single base
+// scenario. Specs name a simulation domain (sched, autoscale, mmog — see
+// `atlarge list --domains`); --domain fills the domain of a spec that omits
+// it, and otherwise must match the spec's declaration. See
+// examples/scenarios/ for runnable specs.
 package main
 
 import (
@@ -281,7 +281,7 @@ func runTo(w io.Writer, args []string) error {
 			rate       = fs.Float64("rate", 0, "per-client admission rate for work-submitting endpoints (requests/second; 0 = unlimited)")
 			burst      = fs.Int("burst", 0, "token-bucket burst per client (0 = max(1, ceil(rate)))")
 			queueDepth = fs.Int("queue-depth", 0, "pending-task bound before submissions get 429 + Retry-After (0 = 4096)")
-			maxJobs    = fs.Int("max-jobs", 0, "concurrently running async jobs (0 = 4)")
+			maxJobs    = fs.Int("max-jobs", 0, "concurrently running /v1/jobs jobs (0 = 4)")
 			stateDir   = fs.String("state-dir", "", "directory for durable job state; jobs survive restarts and resume from checkpoints")
 			workers    = fs.String("workers", "", "comma-separated worker addresses (host:port); sweeps execute across them instead of the in-process pool")
 			pprofOn    = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; off the API mux and its metrics)")
@@ -439,14 +439,14 @@ func progressLine(w io.Writer, label string, stats *exec.Stats) func(done, total
 	}
 }
 
-// runScenario dispatches the scenario subcommands: validate, run, sweep.
+// runScenario dispatches the scenario subcommands: validate, sweep.
 func runScenario(w io.Writer, args []string) error {
-	usage := "usage: atlarge scenario <validate|run|sweep> <spec.json> [--domain D] [--seed N] [--parallel P] [--replicas R] [--format text|json|csv] [--progress] [--timeout D] [sweep: --checkpoint DIR --workers H1,H2 --trace-dir DIR --trace-wall]"
+	usage := "usage: atlarge scenario <validate|sweep> <spec.json> [--domain D] [--seed N] [--parallel P] [--replicas R] [--format text|json|csv] [--progress] [--timeout D] [--checkpoint DIR] [--workers H1,H2] [--trace-dir DIR] [--trace-wall]"
 	if len(args) == 0 {
 		return fmt.Errorf("%s", usage)
 	}
 	sub := args[0]
-	if sub != "validate" && sub != "run" && sub != "sweep" {
+	if sub != "validate" && sub != "sweep" {
 		return fmt.Errorf("unknown scenario subcommand %q\n%s", sub, usage)
 	}
 	fs := newFlagSet("scenario " + sub)
@@ -458,9 +458,9 @@ func runScenario(w io.Writer, args []string) error {
 		format     = fs.String("format", "text", "output format: text, json, or csv")
 		progress   = fs.Bool("progress", false, "live task ticker on stderr: completions, tasks/sec, queue depth")
 		timeout    = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-		checkpoint = fs.String("checkpoint", "", "sweep only: persist completed (cell, replica) results under this directory and resume from them")
-		workers    = fs.String("workers", "", "sweep only: comma-separated worker addresses (host:port); the sweep executes across them, byte-identically")
-		traceDir   = fs.String("trace-dir", "", "sweep only: capture kernel traces and task spans, written as trace.ndjson + trace.json under DIR")
+		checkpoint = fs.String("checkpoint", "", "persist completed (cell, replica) results under this directory and resume from them")
+		workers    = fs.String("workers", "", "comma-separated worker addresses (host:port); the sweep executes across them, byte-identically")
+		traceDir   = fs.String("trace-dir", "", "capture kernel traces and task spans, written as trace.ndjson + trace.json under DIR")
 		traceWall  = fs.Bool("trace-wall", false, "include nondeterministic wall-clock fields in the captured trace")
 	)
 	paths, err := parseInterleaved(fs, args[1:])
@@ -478,15 +478,6 @@ func runScenario(w io.Writer, args []string) error {
 	}
 	if *format != "text" && *format != "json" && *format != "csv" {
 		return fmt.Errorf("unknown format %q (want text, json, or csv)", *format)
-	}
-	if *checkpoint != "" && sub != "sweep" {
-		return fmt.Errorf("--checkpoint applies to 'scenario sweep' only")
-	}
-	if *traceDir != "" && sub != "sweep" {
-		return fmt.Errorf("--trace-dir applies to 'scenario sweep' only")
-	}
-	if *workers != "" && sub != "sweep" {
-		return fmt.Errorf("--workers applies to 'scenario sweep' only")
 	}
 	if *workers != "" && *traceDir != "" {
 		return fmt.Errorf("--workers and --trace-dir are mutually exclusive (kernel events fire inside the worker processes, out of this process's tracer's reach)")
@@ -509,106 +500,90 @@ func runScenario(w io.Writer, args []string) error {
 		}
 	}
 
-	switch sub {
-	case "validate":
-		cells, err := scenario.Expand(spec)
-		if err != nil {
-			return err
-		}
+	cells, err := scenario.Expand(spec)
+	if err != nil {
+		return err
+	}
+	if sub == "validate" {
 		fmt.Fprintf(w, "ok: spec %q expands to %d scenario(s)\n", spec.Name, len(cells))
 		return nil
-	case "run", "sweep":
-		var cells []scenario.Scenario
-		if sub == "run" {
-			single, err := scenario.Single(spec)
-			if err != nil {
-				return err
-			}
-			cells = []scenario.Scenario{*single}
-		} else {
-			if cells, err = scenario.Expand(spec); err != nil {
-				return err
-			}
-		}
-		opt := scenario.Options{Replicas: *replicas, Parallelism: *parallel, Checkpoint: *checkpoint}
-		if seedSet {
-			opt.Seed = seed
-		}
-		if *progress {
-			stats := &exec.Stats{}
-			opt.Stats = stats
-			opt.Progress = progressLine(os.Stderr, "scenario "+sub, stats)
-		}
-		var col *obs.Collector
-		var spans *obs.SpanLog
-		if *traceDir != "" {
-			col = &obs.Collector{}
-			restore := col.Install()
-			defer restore()
-			spans = &obs.SpanLog{}
-			opt.SpanObserver = spans.Observe
-		}
-		ctx, cancel := withTimeout(*timeout)
-		defer cancel()
-		var dstats *dist.Stats
-		if *workers != "" {
-			clients, err := dist.DialAll(ctx, splitAddrs(*workers))
-			if err != nil {
-				return err
-			}
-			dstats = &dist.Stats{}
-			if err := scenario.Distribute(&opt, spec, clients, dstats); err != nil {
-				return err
-			}
-		}
-		rep, err := scenario.Run(ctx, spec, cells, opt)
-		if dstats != nil {
-			if n := dstats.Redispatched(); n > 0 {
-				fmt.Fprintf(os.Stderr, "scenario %s: %d task(s) re-dispatched after lost worker claims\n", sub, n)
-			}
-		}
+	}
+	opt := scenario.Options{Replicas: *replicas, Parallelism: *parallel, Checkpoint: *checkpoint}
+	if seedSet {
+		opt.Seed = seed
+	}
+	if *progress {
+		stats := &exec.Stats{}
+		opt.Stats = stats
+		opt.Progress = progressLine(os.Stderr, "scenario sweep", stats)
+	}
+	var col *obs.Collector
+	var spans *obs.SpanLog
+	if *traceDir != "" {
+		col = &obs.Collector{}
+		restore := col.Install()
+		defer restore()
+		spans = &obs.SpanLog{}
+		opt.SpanObserver = spans.Observe
+	}
+	ctx, cancel := withTimeout(*timeout)
+	defer cancel()
+	var dstats *dist.Stats
+	if *workers != "" {
+		clients, err := dist.DialAll(ctx, splitAddrs(*workers))
 		if err != nil {
-			if *timeout > 0 && errors.Is(err, context.DeadlineExceeded) {
-				return fmt.Errorf("scenario %s aborted after --timeout %v: %w", sub, *timeout, err)
-			}
 			return err
 		}
-		if col != nil {
-			effReplicas := *replicas
-			if effReplicas <= 0 {
-				effReplicas = spec.Replicas
-			}
-			if effReplicas <= 0 {
-				effReplicas = 1
-			}
-			effSeed := spec.Seed
-			if seedSet {
-				effSeed = *seed
-			}
-			ids := make([]string, len(cells))
-			for i := range cells {
-				ids[i] = cells[i].ID()
-			}
-			tr := &obs.Trace{
-				Target:   spec.Name,
-				Seed:     effSeed,
-				Sections: col.Sections(taskSeedMap(effSeed, ids, effReplicas)),
-				Spans:    spans.Sorted(),
-				Wall:     *traceWall,
-			}
-			if err := writeTraceFiles(os.Stderr, tr, *traceDir); err != nil {
-				return err
-			}
+		dstats = &dist.Stats{}
+		if err := scenario.Distribute(&opt, spec, clients, dstats); err != nil {
+			return err
 		}
-		switch *format {
-		case "json":
-			return rep.WriteJSON(w)
-		case "csv":
-			return rep.WriteCSV(w)
-		default:
-			return rep.WriteText(w)
+	}
+	rep, err := scenario.Run(ctx, spec, cells, opt)
+	if dstats != nil {
+		if n := dstats.Redispatched(); n > 0 {
+			fmt.Fprintf(os.Stderr, "scenario sweep: %d task(s) re-dispatched after lost worker claims\n", n)
 		}
+	}
+	if err != nil {
+		if *timeout > 0 && errors.Is(err, context.DeadlineExceeded) {
+			return fmt.Errorf("scenario sweep aborted after --timeout %v: %w", *timeout, err)
+		}
+		return err
+	}
+	if col != nil {
+		effReplicas := *replicas
+		if effReplicas <= 0 {
+			effReplicas = spec.Replicas
+		}
+		if effReplicas <= 0 {
+			effReplicas = 1
+		}
+		effSeed := spec.Seed
+		if seedSet {
+			effSeed = *seed
+		}
+		ids := make([]string, len(cells))
+		for i := range cells {
+			ids[i] = cells[i].ID()
+		}
+		tr := &obs.Trace{
+			Target:   spec.Name,
+			Seed:     effSeed,
+			Sections: col.Sections(taskSeedMap(effSeed, ids, effReplicas)),
+			Spans:    spans.Sorted(),
+			Wall:     *traceWall,
+		}
+		if err := writeTraceFiles(os.Stderr, tr, *traceDir); err != nil {
+			return err
+		}
+	}
+	switch *format {
+	case "json":
+		return rep.WriteJSON(w)
+	case "csv":
+		return rep.WriteCSV(w)
 	default:
-		return fmt.Errorf("unknown scenario subcommand %q\n%s", sub, usage)
+		return rep.WriteText(w)
 	}
 }

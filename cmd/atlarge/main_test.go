@@ -190,10 +190,10 @@ func TestScenarioUsageErrors(t *testing.T) {
 	if err := runTo(&bytes.Buffer{}, []string{"scenario", "sweep", exampleSweepSpec, "--format", "xml"}); err == nil {
 		t.Error("unknown format accepted")
 	}
-	// `run` on a sweep spec must point at `sweep`.
+	// `sweep` is the one way to run a spec; the old `run` is unknown.
 	err := runTo(&bytes.Buffer{}, []string{"scenario", "run", exampleSweepSpec})
-	if err == nil || !strings.Contains(err.Error(), "scenario sweep") {
-		t.Errorf("run on sweep spec: %v", err)
+	if err == nil || !strings.Contains(err.Error(), `unknown scenario subcommand "run"`) {
+		t.Errorf("scenario run: %v", err)
 	}
 }
 
@@ -215,6 +215,8 @@ func TestScenarioSweepParallelParity(t *testing.T) {
 	}
 }
 
+// TestScenarioRunSingle: a spec without sweep axes runs through `scenario
+// sweep` as its single base scenario.
 func TestScenarioRunSingle(t *testing.T) {
 	spec := filepath.Join(t.TempDir(), "single.json")
 	src := `{"version": 1, "name": "single", "policy": "sjf",
@@ -223,7 +225,7 @@ func TestScenarioRunSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := runTo(&buf, []string{"scenario", "run", spec, "--seed", "5", "--format", "csv"}); err != nil {
+	if err := runTo(&buf, []string{"scenario", "sweep", spec, "--seed", "5", "--format", "csv"}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -443,20 +445,6 @@ func TestScenarioSweepCheckpointResume(t *testing.T) {
 	}
 	if resumed := render("--checkpoint", dir, "--parallel", "1"); resumed != cold {
 		t.Error("resumed run differs from cold run")
-	}
-}
-
-// TestScenarioCheckpointRequiresSweep: --checkpoint outside sweep errors.
-func TestScenarioCheckpointRequiresSweep(t *testing.T) {
-	spec := filepath.Join(t.TempDir(), "single.json")
-	src := `{"version": 1, "name": "single", "policy": "sjf",
-		"workload": {"class": "syn", "jobs": 4}}`
-	if err := os.WriteFile(spec, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err := run([]string{"scenario", "run", spec, "--checkpoint", t.TempDir()})
-	if err == nil || !strings.Contains(err.Error(), "--checkpoint") {
-		t.Errorf("checkpoint on run accepted: %v", err)
 	}
 }
 

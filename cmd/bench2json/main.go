@@ -30,7 +30,8 @@ import (
 type measurement struct {
 	// Package is the pkg: header in effect when the line appeared.
 	Package string `json:"package,omitempty"`
-	// Name is the benchmark name including the -P GOMAXPROCS suffix.
+	// Name is the benchmark name without go test's -P GOMAXPROCS suffix,
+	// so records from hosts with different core counts compare.
 	Name string `json:"name"`
 	// Iterations is the measured iteration count.
 	Iterations int64 `json:"iterations"`
@@ -80,6 +81,7 @@ func run(suite, compare string, tolerance, allocsTol float64) error {
 		case strings.HasPrefix(line, "Benchmark"):
 			if m, ok := parseBenchLine(line); ok {
 				m.Package = pkg
+				m.Name = trimProcs(m.Name)
 				out.Benchmarks = append(out.Benchmarks, m)
 			}
 		}
@@ -118,7 +120,9 @@ func compareBaseline(cur output, path string, tolerance, allocsTol float64) erro
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("parse baseline %s: %w", path, err)
 	}
-	key := func(m measurement) string { return m.Package + " " + m.Name }
+	// Names are compared without the GOMAXPROCS suffix on both sides, so a
+	// baseline recorded with suffixes still matches.
+	key := func(m measurement) string { return m.Package + " " + trimProcs(m.Name) }
 	baseline := make(map[string]measurement, len(base.Benchmarks))
 	for _, m := range base.Benchmarks {
 		baseline[key(m)] = m
@@ -166,6 +170,22 @@ func compareBaseline(cur output, path string, tolerance, allocsTol float64) erro
 	}
 	fmt.Printf("bench-compare: OK (%d benchmark(s) within %.0f%% of %s)\n", compared, tolerance*100, path)
 	return nil
+}
+
+// trimProcs strips the "-<digits>" GOMAXPROCS suffix go test appends to a
+// benchmark name on multi-core hosts ("BenchmarkKernelSchedule-2"). A name
+// without the suffix is returned unchanged.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 // parseBenchLine parses "BenchmarkName-8  100  12345 ns/op  456 B/op ...".

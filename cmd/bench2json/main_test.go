@@ -127,3 +127,37 @@ func TestCompareBaselineAllocsGate(t *testing.T) {
 		t.Errorf("benchmarks missing allocs/op on one side were allocs-gated: %v", err)
 	}
 }
+
+// TestCompareBaselineProcsSuffix: go test names benchmarks "Name-P" on a
+// P-core host, and baselines are recorded without the suffix; the compare
+// must still pair them up (and still catch a regression across them).
+func TestCompareBaselineProcsSuffix(t *testing.T) {
+	for in, want := range map[string]string{
+		"BenchmarkKernelSchedule-2":        "BenchmarkKernelSchedule",
+		"BenchmarkKernelSchedule-16":       "BenchmarkKernelSchedule",
+		"BenchmarkKernelSchedule":          "BenchmarkKernelSchedule",
+		"BenchmarkPopulationStream/zipf-8": "BenchmarkPopulationStream/zipf",
+		"BenchmarkPopulationStream/zipf":   "BenchmarkPopulationStream/zipf",
+		"BenchmarkExecStream/par-x":        "BenchmarkExecStream/par-x",
+		"BenchmarkTrailingDash-":           "BenchmarkTrailingDash-",
+	} {
+		if got := trimProcs(in); got != want {
+			t.Errorf("trimProcs(%q) = %q, want %q", in, got, want)
+		}
+	}
+
+	base := output{Suite: "base", Benchmarks: []measurement{
+		{Package: "p", Name: "BenchmarkKernelSchedule", Iterations: 100, NsPerOp: 1000},
+	}}
+	path := writeBaseline(t, base)
+	cur := output{Benchmarks: []measurement{
+		{Package: "p", Name: "BenchmarkKernelSchedule-2", Iterations: 100, NsPerOp: 1050},
+	}}
+	if err := compareBaseline(cur, path, 0.20, 0.20); err != nil {
+		t.Errorf("suffixed run did not match the unsuffixed baseline: %v", err)
+	}
+	cur.Benchmarks[0].NsPerOp = 2000
+	if err := compareBaseline(cur, path, 0.20, 0.20); err == nil || !strings.Contains(err.Error(), "regressed") {
+		t.Errorf("regression across the suffix went unnoticed: %v", err)
+	}
+}

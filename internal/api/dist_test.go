@@ -25,16 +25,32 @@ func startDistWorkers(t *testing.T, k int) []string {
 	return addrs
 }
 
-// TestServeDistributedSweep: a server with Config.Workers executes sweeps
-// across them — the synchronous sweep response is byte-identical to a
-// worker-less server's, and the dist metric families report the work.
+// runJobTo submits a sweep job body, waits for it to finish, and returns its
+// result bytes.
+func runJobTo(t *testing.T, url, body string) string {
+	t.Helper()
+	status, doc, raw := postJob(t, url, body)
+	if status != http.StatusAccepted {
+		t.Fatalf("job submit status = %d: %s", status, raw)
+	}
+	if final := waitJobDone(t, url, doc.ID); final.State != jobDone {
+		t.Fatalf("job ended %q, want done: %+v", final.State, final)
+	}
+	resp, got := get(t, url+"/v1/jobs/"+doc.ID+"/result")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job result status = %d: %s", resp.StatusCode, got)
+	}
+	return got
+}
+
+// TestServeDistributedSweep: a server with Config.Workers executes sweep
+// jobs across them — the job result is byte-identical to a worker-less
+// server's, and the dist metric families report the work.
 func TestServeDistributedSweep(t *testing.T) {
+	body := `{"kind": "sweep", "spec": ` + sweepSpecBody + `}`
 	local := httptest.NewServer(New(Config{Registry: testRegistry(t), Parallelism: 2}))
 	t.Cleanup(local.Close)
-	resp, want := postBody(t, local.URL+"/v1/scenario/sweep", sweepSpecBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("in-process sweep status = %d: %s", resp.StatusCode, want)
-	}
+	want := runJobTo(t, local.URL, body)
 
 	srv := New(Config{Registry: testRegistry(t), Parallelism: 2, Workers: startDistWorkers(t, 2)})
 	if err := srv.ConnectWorkers(context.Background()); err != nil {
@@ -42,12 +58,8 @@ func TestServeDistributedSweep(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	resp, got := postBody(t, ts.URL+"/v1/scenario/sweep", sweepSpecBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("distributed sweep status = %d: %s", resp.StatusCode, got)
-	}
-	if got != want {
-		t.Error("distributed sweep response differs from in-process response")
+	if got := runJobTo(t, ts.URL, body); got != want {
+		t.Error("distributed job result differs from the worker-less server's")
 	}
 
 	_, metricsBody := get(t, ts.URL+"/metrics")
@@ -62,8 +74,8 @@ func TestServeDistributedSweep(t *testing.T) {
 	}
 }
 
-// TestServeDistributedJob: the async jobs path distributes too, and the
-// job's result bytes match the synchronous sweep response.
+// TestServeDistributedJob: a distributed job's result bytes match an
+// in-process scenario.Run of the same (spec, seed, replicas).
 func TestServeDistributedJob(t *testing.T) {
 	srv := New(Config{Registry: testRegistry(t), Parallelism: 2, Workers: startDistWorkers(t, 2)})
 	if err := srv.ConnectWorkers(context.Background()); err != nil {
@@ -71,24 +83,8 @@ func TestServeDistributedJob(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-
-	resp, want := postBody(t, ts.URL+"/v1/scenario/sweep", sweepSpecBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sync sweep status = %d", resp.StatusCode)
-	}
-	status, doc, raw := postJob(t, ts.URL, `{"kind": "sweep", "spec": `+sweepSpecBody+`}`)
-	if status != http.StatusAccepted {
-		t.Fatalf("job submit status = %d: %s", status, raw)
-	}
-	if final := waitJobDone(t, ts.URL, doc.ID); final.State != jobDone {
-		t.Fatalf("distributed job ended %q, want done: %+v", final.State, final)
-	}
-	resp, got := get(t, ts.URL+"/v1/jobs/"+doc.ID+"/result")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("job result status = %d: %s", resp.StatusCode, got)
-	}
-	if got != want {
-		t.Error("distributed job result differs from sync sweep response")
+	if got := runJobTo(t, ts.URL, jobBody(13)); got != inProcessSweep(t, sweepSpecBody, seedOf(13), 2) {
+		t.Error("distributed job result differs from the in-process sweep")
 	}
 }
 
@@ -101,15 +97,4 @@ func TestConnectWorkersFailFast(t *testing.T) {
 	if err := srv.ConnectWorkers(ctx); err == nil {
 		t.Fatal("ConnectWorkers succeeded against an unreachable address")
 	}
-}
-
-// postBody posts a JSON body and returns the response and its body text.
-func postBody(t *testing.T, url, body string) (*http.Response, string) {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	return resp, readAll(t, resp)
 }

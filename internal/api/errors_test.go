@@ -45,10 +45,9 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		{"replicas out of range", "GET", "/v1/run?replicas=99", "", http.StatusBadRequest, errBadRequest},
 		{"unknown experiment", "GET", "/v1/run?ids=nope", "", http.StatusNotFound, errNotFound},
 		{"stream bad seed", "GET", "/v1/run/stream?seed=x", "", http.StatusBadRequest, errBadRequest},
-		{"sweep bad spec", "POST", "/v1/scenario/sweep", "{", http.StatusBadRequest, errBadRequest},
-		{"sweep bad async", "POST", "/v1/scenario/sweep?async=maybe", sweepSpecBody, http.StatusBadRequest, errBadRequest},
-		{"sweep bad seed", "POST", "/v1/scenario/sweep?seed=x", sweepSpecBody, http.StatusBadRequest, errBadRequest},
-		{"sweep body too large", "POST", "/v1/scenario/sweep", `{"pad": "` + strings.Repeat("x", maxSpecBytes+1) + `"}`, http.StatusRequestEntityTooLarge, errPayloadTooLarge},
+		{"sweep bad spec", "POST", "/v1/jobs", `{"kind": "sweep", "spec": {"version": 1, "name": "x", "policy": "nope"}}`, http.StatusBadRequest, errBadRequest},
+		{"sweep bad seed", "POST", "/v1/jobs", `{"kind": "sweep", "spec": ` + sweepSpecBody + `, "seed": "x"}`, http.StatusBadRequest, errBadRequest},
+		{"job workload trace", "POST", "/v1/jobs", `{"kind": "sweep", "spec": {"version": 2, "name": "t", "domain": "sched", "workload": {"trace": "/etc/hostname"}}}`, http.StatusBadRequest, errBadRequest},
 		{"job body too large", "POST", "/v1/jobs", `{"kind": "sweep", "spec": {"pad": "` + strings.Repeat("x", maxSpecBytes+1) + `"}}`, http.StatusRequestEntityTooLarge, errPayloadTooLarge},
 		{"job bad body", "POST", "/v1/jobs", "not json", http.StatusBadRequest, errBadRequest},
 		{"job unknown kind", "POST", "/v1/jobs", `{"kind": "bake", "spec": {}}`, http.StatusBadRequest, errBadRequest},
@@ -59,8 +58,6 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		{"unknown job result", "GET", "/v1/jobs/feedbeef/result", "", http.StatusNotFound, errNotFound},
 		{"unknown job cancel", "DELETE", "/v1/jobs/feedbeef", "", http.StatusNotFound, errNotFound},
 		{"bad state filter", "GET", "/v1/jobs?state=paused", "", http.StatusBadRequest, errBadRequest},
-		{"legacy unknown job", "GET", "/v1/scenario/jobs/feedbeef", "", http.StatusNotFound, errNotFound},
-		{"legacy unknown result", "GET", "/v1/scenario/jobs/feedbeef/result", "", http.StatusNotFound, errNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -37,10 +37,10 @@ type job struct {
 	cancel context.CancelFunc
 
 	mu     sync.Mutex
-	state  string
+	phase  string // one of the job states
 	done   int
 	total  int
-	result []byte // final report JSON, byte-identical to the sync response
+	result []byte // final report JSON, byte-identical to the CLI sweep output
 	errMsg string
 	spans  jobSpans // incremental span aggregates for /v1/jobs/{id}/profile
 }
@@ -133,7 +133,7 @@ func (j *job) profileDoc() jobProfileDoc {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	s := &j.spans
-	d := jobProfileDoc{Job: j.id, State: j.state}
+	d := jobProfileDoc{Job: j.id, State: j.phase}
 	d.Tasks.Observed = s.tasks
 	d.Tasks.Cached = s.cached
 	d.Tasks.Failed = s.failed
@@ -169,24 +169,24 @@ func (j *job) progress(done, total int) {
 func (j *job) finish(result []byte, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state == jobCancelled {
+	if j.phase == jobCancelled {
 		return
 	}
 	if err != nil {
-		j.state = jobFailed
+		j.phase = jobFailed
 		j.errMsg = err.Error()
 		return
 	}
-	j.state = jobDone
+	j.phase = jobDone
 	j.result = result
 }
 
 // markCancelled flips a running job to cancelled and fires its context.
 func (j *job) markCancelled() bool {
 	j.mu.Lock()
-	running := j.state == jobRunning
+	running := j.phase == jobRunning
 	if running {
-		j.state = jobCancelled
+		j.phase = jobCancelled
 	}
 	j.mu.Unlock()
 	if running {
@@ -195,28 +195,11 @@ func (j *job) markCancelled() bool {
 	return running
 }
 
-// jobStatus is the legacy status document of GET /v1/scenario/jobs/{id},
-// kept byte-compatible for existing clients of the deprecated alias routes.
-type jobStatus struct {
-	Job   string `json:"job"`
-	State string `json:"state"`
-	Done  int    `json:"done"`
-	Total int    `json:"total"`
-	// Result is the path serving the finished report; set when done.
-	Result string `json:"result,omitempty"`
-	// Error carries the failure message of a failed job.
-	Error string `json:"error,omitempty"`
-}
-
-// status snapshots the job in the legacy shape.
-func (j *job) status() jobStatus {
+// state snapshots the job's lifecycle state.
+func (j *job) state() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := jobStatus{Job: j.id, State: j.state, Done: j.done, Total: j.total, Error: j.errMsg}
-	if j.state == jobDone {
-		st.Result = "/v1/scenario/jobs/" + j.id + "/result"
-	}
-	return st
+	return j.phase
 }
 
 // jobDoc is the uniform job resource of the /v1/jobs API.
@@ -238,9 +221,9 @@ type jobDoc struct {
 func (j *job) doc() jobDoc {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	d := jobDoc{ID: j.id, Kind: j.kind, Name: j.name, State: j.state, Done: j.done, Total: j.total, Error: j.errMsg}
+	d := jobDoc{ID: j.id, Kind: j.kind, Name: j.name, State: j.phase, Done: j.done, Total: j.total, Error: j.errMsg}
 	d.Links.Self = "/v1/jobs/" + j.id
-	if j.state == jobDone {
+	if j.phase == jobDone {
 		d.Links.Result = "/v1/jobs/" + j.id + "/result"
 	}
 	return d
@@ -250,7 +233,7 @@ func (j *job) doc() jobDoc {
 func (j *job) resultBytes() ([]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != jobDone {
+	if j.phase != jobDone {
 		return nil, false
 	}
 	return j.result, true

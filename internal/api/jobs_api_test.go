@@ -2,9 +2,13 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +40,34 @@ func postJob(t *testing.T, url, body string) (int, jobDoc, string) {
 	return resp.StatusCode, doc, raw
 }
 
+// inProcessSweep runs a spec body through scenario.Run in this process and
+// returns its JSON report — the bytes `atlarge scenario sweep --format json`
+// prints, and the bytes a /v1/jobs result must equal. A nil seed and zero
+// replicas fall back to the spec's own values, as they do for a job.
+func inProcessSweep(t *testing.T, specBody string, seed *int64, replicas int) string {
+	t.Helper()
+	spec, err := scenario.Parse(strings.NewReader(specBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := scenario.Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := scenario.Run(context.Background(), spec, cells, scenario.Options{Seed: seed, Replicas: replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// seedOf returns a pointer to a seed literal.
+func seedOf(v int64) *int64 { return &v }
+
 // waitJobDone polls GET /v1/jobs/{id} until the job leaves running.
 func waitJobDone(t *testing.T, url, id string) jobDoc {
 	t.Helper()
@@ -56,9 +88,9 @@ func waitJobDone(t *testing.T, url, id string) jobDoc {
 	}
 }
 
-// TestJobsLifecycle drives the redesigned resource end to end: submit,
-// list (with state filter), poll, fetch a result byte-identical to the
-// synchronous sweep, and observe the same job through the deprecated alias.
+// TestJobsLifecycle drives the resource end to end: submit, list (with
+// state filter), poll, and fetch a result byte-identical to the in-process
+// sweep of the same (spec, seed, replicas).
 func TestJobsLifecycle(t *testing.T) {
 	srv := httptest.NewServer(New(Config{Parallelism: 2}))
 	defer srv.Close()
@@ -90,36 +122,14 @@ func TestJobsLifecycle(t *testing.T) {
 		t.Errorf("done job listed under ?state=failed: %s", failedList)
 	}
 
-	// Result bytes equal the synchronous sweep response for the same
-	// (spec, seed, replicas).
 	_, jobResult := get(t, srv.URL+"/v1/jobs/"+doc.ID+"/result")
-	syncStatus, syncOut := postSweep(t, srv.URL+"/v1/scenario/sweep?seed=5&replicas=2")
-	if syncStatus != http.StatusOK {
-		t.Fatalf("sync sweep failed: %d", syncStatus)
-	}
-	if jobResult != syncOut["_body"] {
-		t.Error("job result bytes differ from synchronous sweep response")
-	}
-
-	// The deprecated alias serves the same job in the legacy shape, marked
-	// deprecated.
-	resp, legacyBody := get(t, srv.URL+"/v1/scenario/jobs/"+doc.ID)
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy alias lacks Deprecation header")
-	}
-	var st jobStatus
-	if err := json.Unmarshal([]byte(legacyBody), &st); err != nil || st.Job != doc.ID || st.State != jobDone {
-		t.Errorf("legacy status = %s", legacyBody)
-	}
-	_, legacyResult := get(t, srv.URL+st.Result)
-	if legacyResult != jobResult {
-		t.Error("legacy result bytes differ from /v1/jobs result")
+	if jobResult != inProcessSweep(t, sweepSpecBody, seedOf(5), 2) {
+		t.Error("job result bytes differ from the in-process sweep")
 	}
 }
 
 // TestJobsDedup: identical submissions share one job — 202 on create, 200
-// with the same ID after, across both the new route and the legacy async
-// sweep (whose ID is the same content hash).
+// with the same ID after.
 func TestJobsDedup(t *testing.T) {
 	srv := httptest.NewServer(New(Config{Parallelism: 2}))
 	defer srv.Close()
@@ -131,13 +141,6 @@ func TestJobsDedup(t *testing.T) {
 	status, second, raw := postJob(t, srv.URL, jobBody(11))
 	if status != http.StatusOK || second.ID != first.ID {
 		t.Fatalf("dup submit: status %d, id %q (want 200, %q); body %s", status, second.ID, first.ID, raw)
-	}
-
-	// The legacy async sweep with the same (spec, seed, replicas) resolves
-	// to the same job.
-	legacyStatus, out := postSweep(t, srv.URL+"/v1/scenario/sweep?seed=11&replicas=2&async=1")
-	if legacyStatus != http.StatusOK || out["job"] != first.ID {
-		t.Errorf("legacy async dedup: status %d, job %q (want 200, %q)", legacyStatus, out["job"], first.ID)
 	}
 
 	// A different seed is different work: fresh job, fresh ID.
@@ -226,7 +229,7 @@ func TestJobsDurableRestart(t *testing.T) {
 
 // TestJobsInterruptedResume: a job whose durable record still says running
 // (the server died mid-flight) relaunches on recovery and converges to the
-// same bytes a synchronous sweep produces.
+// same bytes an in-process sweep produces.
 func TestJobsInterruptedResume(t *testing.T) {
 	dir := t.TempDir()
 
@@ -277,12 +280,8 @@ func TestJobsInterruptedResume(t *testing.T) {
 		t.Fatalf("resumed job = %+v", done)
 	}
 	_, resumedResult := get(t, srv.URL+"/v1/jobs/"+id+"/result")
-	syncStatus, syncOut := postSweep(t, srv.URL+"/v1/scenario/sweep?seed=41&replicas=2")
-	if syncStatus != http.StatusOK {
-		t.Fatalf("sync sweep failed: %d", syncStatus)
-	}
-	if resumedResult != syncOut["_body"] {
-		t.Error("resumed result bytes differ from synchronous sweep response")
+	if resumedResult != inProcessSweep(t, sweepSpecBody, seedOf(seed), replicas) {
+		t.Error("resumed result bytes differ from the in-process sweep")
 	}
 
 	// The outcome was persisted (runJob settles in-memory state first, so
@@ -307,7 +306,7 @@ func TestJobsInterruptedResume(t *testing.T) {
 // state on disk (so a restart restores it as terminal instead of resuming),
 // and its result answers 410 job_cancelled. A 64-replica sweep on one
 // worker gives the DELETE time to land; if the job wins the race anyway the
-// cancel-specific assertions are skipped, as in TestServeAsyncSweepCancel.
+// cancel-specific assertions are skipped.
 // The test waits for the job to return before the temp dir is removed: a
 // cancelled sweep still checkpoints the tasks it had in flight.
 func TestJobsCancelPersists(t *testing.T) {
@@ -384,5 +383,56 @@ func TestRunHashMatchesCheckpointKey(t *testing.T) {
 	}
 	if c, _ := scenario.RunHash(spec, 6, 2); c == a {
 		t.Error("seed change did not change the hash")
+	}
+}
+
+// TestJobsRejectServerFilePath: a spec naming workload.trace would make the
+// server stat and read a file of the client's choosing — and a malformed
+// trace's parse error would echo its first line back in the job document.
+// Such a submission is a 400 before anything touches the file: no job is
+// created, and the file's contents appear in no response.
+func TestJobsRejectServerFilePath(t *testing.T) {
+	const secret = "SECRET_TOKEN=hunter2"
+	path := filepath.Join(t.TempDir(), "credentials")
+	if err := os.WriteFile(path, []byte(secret+"\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	api := New(Config{Parallelism: 1})
+	defer api.waitJobs()
+	srv := httptest.NewServer(api)
+	defer srv.Close()
+
+	spec := `{"version": 2, "name": "exfil", "domain": "sched",
+		"workload": {"trace": ` + strconv.Quote(path) + `}, "seed": 3}`
+	var bodies []string
+	for _, body := range []string{
+		`{"kind": "sweep", "spec": ` + spec + `}`,
+		`{"kind": "sweep", "spec": ` + strings.Replace(spec, strconv.Quote(path), `"credentials"`, 1) + `}`,
+	} {
+		resp, env, raw := doReq(t, "POST", srv.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != errBadRequest {
+			t.Errorf("trace spec: status %d body %s, want 400 bad_request", resp.StatusCode, raw)
+		}
+		bodies = append(bodies, raw)
+	}
+	if ids := listJobs(t, srv.URL); len(ids) != 0 {
+		t.Errorf("rejected trace spec created jobs %v", ids)
+	}
+	parsed, err := scenario.Parse(strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := scenario.RunHash(parsed, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/v1/jobs", "/v1/jobs/" + id, "/v1/jobs/" + id + "/result", "/metrics"} {
+		_, body := get(t, srv.URL+p)
+		bodies = append(bodies, body)
+	}
+	for _, body := range bodies {
+		if strings.Contains(body, "hunter2") || strings.Contains(body, "SECRET") {
+			t.Fatalf("file contents leaked into a response: %s", body)
+		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"atlarge/internal/exec"
 )
 
-// admission gates work-submitting endpoints (/v1/run, /v1/run/stream,
-// /v1/scenario/sweep, /v1/jobs) behind two checks:
+// admission gates the work-submitting endpoints (/v1/run, /v1/run/stream
+// and POST /v1/jobs) behind two checks:
 //
 //  1. a per-client token bucket (Config.Rate/Burst, keyed by the
 //     X-Atlarge-Client header or the remote host), and

@@ -21,7 +21,7 @@ import (
 	"atlarge/internal/sim"
 )
 
-// maxSpecBytes bounds a job or sweep request body; real specs are a few
+// maxSpecBytes bounds a POST /v1/jobs request body; real specs are a few
 // KiB, so 1 MiB is generous while keeping the server un-OOM-able.
 const maxSpecBytes = 1 << 20
 
@@ -44,7 +44,7 @@ type Config struct {
 	// Values above 4096 (the scenario engine's own hard expansion bound)
 	// are clamped to it.
 	MaxCells int
-	// MaxJobs bounds concurrently running async jobs; <= 0 means 4.
+	// MaxJobs bounds concurrently running /v1/jobs jobs; <= 0 means 4.
 	MaxJobs int
 	// KeepJobs bounds the finished-job history retained for status
 	// queries; the oldest finished jobs beyond it are evicted (their IDs
@@ -92,17 +92,13 @@ type runKey struct {
 //	GET    /v1/experiments                     the experiment catalog
 //	GET    /v1/run?ids=&seed=&replicas=        typed run results (LRU-cached)
 //	GET    /v1/run/stream?ids=&seed=&replicas= the same run as live NDJSON progress events
-//	POST   /v1/scenario/sweep?seed=&replicas=  expand + run a scenario spec body synchronously
 //	POST   /v1/jobs                            submit async work ({"kind","spec","seed"?,"replicas"?})
 //	GET    /v1/jobs?state=                     list jobs, optionally filtered by state
 //	GET    /v1/jobs/{id}                       one job's resource document
-//	GET    /v1/jobs/{id}/result                the finished job's report (sync-identical bytes)
+//	GET    /v1/jobs/{id}/result                the finished job's report (CLI-identical bytes)
 //	GET    /v1/jobs/{id}/profile               the job's execution profile (span aggregates)
 //	DELETE /v1/jobs/{id}                       cancel a running job mid-plan
 //	GET    /metrics                            Prometheus text-format server metrics
-//
-// /v1/scenario/jobs/{id}[...] and POST /v1/scenario/sweep?async=1 remain as
-// deprecated aliases of the jobs resource.
 //
 // Job IDs are the content hash of (spec, seed, replicas) — the same hash
 // the sweep checkpoint store uses — so identical sweeps submitted by
@@ -113,8 +109,9 @@ type runKey struct {
 // All responses are JSON; errors use the typed envelope
 // {"error": {"code", "message", "retry_after"?}}. Run results are
 // byte-identical for a fixed query at any parallelism and across cache hits
-// and misses, and an async job's result is byte-identical to the
-// synchronous sweep response for the same spec.
+// and misses, and a job's result is byte-identical to
+// `atlarge scenario sweep --format json` for the same spec, seed and
+// replicas.
 type Server struct {
 	cfg   Config
 	cache *lruCache[runKey, atlarge.ExperimentResult]
@@ -226,7 +223,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	s.mux.HandleFunc("GET /v1/run", s.handleRun)
 	s.mux.HandleFunc("GET /v1/run/stream", s.handleRunStream)
-	s.mux.HandleFunc("POST /v1/scenario/sweep", s.handleScenarioSweep)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
@@ -234,11 +230,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/profile", s.handleJobProfile)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	s.mux.Handle("GET /metrics", s.metrics.Handler())
-	// Deprecated aliases of the jobs resource; responses keep the legacy
-	// shapes and carry a successor pointer.
-	s.mux.HandleFunc("GET /v1/scenario/jobs/{id}", s.handleLegacyJobStatus)
-	s.mux.HandleFunc("GET /v1/scenario/jobs/{id}/result", s.handleLegacyJobResult)
-	s.mux.HandleFunc("DELETE /v1/scenario/jobs/{id}", s.handleLegacyJobCancel)
 	return s
 }
 
@@ -363,7 +354,7 @@ func (s *Server) countJobs(state string) int {
 	defer s.jobMu.Unlock()
 	n := 0
 	for _, j := range s.jobs {
-		if j.status().State == state {
+		if j.state() == state {
 			n++
 		}
 	}
@@ -669,125 +660,6 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	line(resultEvent{Type: "result", Document: doc})
 }
 
-// boundSweep applies the replica and cell bounds shared by every sweep
-// entry point (sync, legacy async, /v1/jobs), pinning the effective replica
-// count into opt and writing the error response itself on failure. The cell
-// bound is enforced from the sweep's axis cardinalities alone, before any
-// cell is materialized, so a degenerate spec cannot make the server
-// allocate its cross-product.
-func (s *Server) boundSweep(w http.ResponseWriter, spec *scenario.Spec, opt *scenario.Options) ([]scenario.Scenario, bool) {
-	// Pin the effective replica count (request, else spec, else 1) so the
-	// bound covers both sources — a spec body declaring a huge "replicas"
-	// must be rejected exactly like a huge request parameter.
-	if opt.Replicas <= 0 {
-		opt.Replicas = max(spec.Replicas, 1)
-	}
-	if opt.Replicas > s.cfg.MaxReplicas {
-		writeError(w, http.StatusBadRequest, errBadRequest, "replicas must be in 1..%d", s.cfg.MaxReplicas)
-		return nil, false
-	}
-	if size := scenario.SweepSize(spec); size > s.cfg.MaxCells {
-		writeError(w, http.StatusBadRequest, errBadRequest,
-			"sweep axis cardinalities multiply to more than this server's limit of %d cells; split the sweep", s.cfg.MaxCells)
-		return nil, false
-	}
-	cells, err := scenario.Expand(spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, errBadRequest, "%v", err)
-		return nil, false
-	}
-	return cells, true
-}
-
-// parseSweepRequest validates a legacy sweep request — body spec plus
-// seed/replicas query parameters — writing the error response itself on
-// failure.
-func (s *Server) parseSweepRequest(w http.ResponseWriter, r *http.Request) (*scenario.Spec, []scenario.Scenario, scenario.Options, bool) {
-	none := scenario.Options{}
-	r.Body = http.MaxBytesReader(w, r.Body, maxSpecBytes)
-	spec, err := scenario.Parse(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, errPayloadTooLarge, "spec body exceeds %d bytes", tooBig.Limit)
-			return nil, nil, none, false
-		}
-		writeError(w, http.StatusBadRequest, errBadRequest, "%v", err)
-		return nil, nil, none, false
-	}
-	q := r.URL.Query()
-	opt := scenario.Options{Parallelism: s.cfg.Parallelism}
-	if raw := q.Get("seed"); raw != "" {
-		seed, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, errBadRequest, "bad seed: %v", err)
-			return nil, nil, none, false
-		}
-		opt.Seed = &seed
-	}
-	if raw := q.Get("replicas"); raw != "" {
-		replicas, err := strconv.Atoi(raw)
-		if err != nil || replicas < 1 {
-			writeError(w, http.StatusBadRequest, errBadRequest, "replicas must be in 1..%d", s.cfg.MaxReplicas)
-			return nil, nil, none, false
-		}
-		opt.Replicas = replicas
-	}
-	cells, ok := s.boundSweep(w, spec, &opt)
-	if !ok {
-		return nil, nil, none, false
-	}
-	return spec, cells, opt, true
-}
-
-func (s *Server) handleScenarioSweep(w http.ResponseWriter, r *http.Request) {
-	async := false
-	if raw := r.URL.Query().Get("async"); raw != "" {
-		var err error
-		if async, err = strconv.ParseBool(raw); err != nil {
-			writeError(w, http.StatusBadRequest, errBadRequest, "bad async: %v", err)
-			return
-		}
-	}
-	if !s.adm.admit(w, r) {
-		return
-	}
-	spec, cells, opt, ok := s.parseSweepRequest(w, r)
-	if !ok {
-		return
-	}
-	if async {
-		// Deprecated alias of POST /v1/jobs; the response keeps the legacy
-		// {"job", "status"} shape.
-		j, created, ok := s.launchJob(w, spec, cells, opt)
-		if !ok {
-			return
-		}
-		status := http.StatusOK
-		if created {
-			status = http.StatusAccepted
-		}
-		writeJSON(w, status, map[string]string{
-			"job":    j.id,
-			"status": "/v1/scenario/jobs/" + j.id,
-		})
-		return
-	}
-	opt.Stats = s.stats
-	if err := s.maybeDistribute(&opt, spec); err != nil {
-		writeError(w, http.StatusInternalServerError, errInternal, "%v", err)
-		return
-	}
-	rep, err := scenario.Run(r.Context(), spec, cells, opt)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, errInternal, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = rep.WriteJSON(w)
-}
-
 // jobRequest is the body of POST /v1/jobs: a kind, its spec, and optional
 // seed/replicas overrides (which otherwise fall back to the spec's values).
 type jobRequest struct {
@@ -831,9 +703,35 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errBadRequest, "%v", err)
 		return
 	}
+	// A trace path names a file on the server's disk: validating or running
+	// the spec would stat and read it on the client's behalf, and a parse
+	// error would echo its contents into the job document. Refuse it before
+	// Expand touches the filesystem; trace imports go through the CLI.
+	if spec.Workload.Trace != "" {
+		writeError(w, http.StatusBadRequest, errBadRequest,
+			"workload.trace is not accepted over HTTP; import traces with 'atlarge scenario sweep'")
+		return
+	}
+	// The effective replica count (request, else spec, else 1) is bounded
+	// whichever source it came from, and the cell bound is enforced from the
+	// axis cardinalities alone, so a degenerate spec cannot make the server
+	// allocate its cross-product.
 	opt := scenario.Options{Parallelism: s.cfg.Parallelism, Seed: req.Seed, Replicas: req.Replicas}
-	cells, ok := s.boundSweep(w, spec, &opt)
-	if !ok {
+	if opt.Replicas == 0 {
+		opt.Replicas = max(spec.Replicas, 1)
+	}
+	if opt.Replicas > s.cfg.MaxReplicas {
+		writeError(w, http.StatusBadRequest, errBadRequest, "replicas must be in 1..%d", s.cfg.MaxReplicas)
+		return
+	}
+	if size := scenario.SweepSize(spec); size > s.cfg.MaxCells {
+		writeError(w, http.StatusBadRequest, errBadRequest,
+			"sweep axis cardinalities multiply to more than this server's limit of %d cells; split the sweep", s.cfg.MaxCells)
+		return
+	}
+	cells, err := scenario.Expand(spec)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, errBadRequest, "%v", err)
 		return
 	}
 	j, created, ok := s.launchJob(w, spec, cells, opt)
@@ -868,14 +766,14 @@ func (s *Server) launchJob(w http.ResponseWriter, spec *scenario.Spec, cells []s
 
 	s.jobMu.Lock()
 	if existing, found := s.jobs[id]; found {
-		if st := existing.status().State; st == jobRunning || st == jobDone {
+		if st := existing.state(); st == jobRunning || st == jobDone {
 			s.jobMu.Unlock()
 			return existing, false, true
 		}
 	}
 	running := 0
 	for _, j := range s.jobs {
-		if j.status().State == jobRunning {
+		if j.state() == jobRunning {
 			running++
 		}
 	}
@@ -887,7 +785,7 @@ func (s *Server) launchJob(w http.ResponseWriter, spec *scenario.Spec, cells []s
 		return nil, false, false
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{id: id, kind: jobKindSweep, name: spec.Name, cancel: cancel, state: jobRunning, total: total}
+	j := &job{id: id, kind: jobKindSweep, name: spec.Name, cancel: cancel, phase: jobRunning, total: total}
 	if _, seen := s.jobs[id]; !seen {
 		s.jobOrder = append(s.jobOrder, id)
 	}
@@ -966,11 +864,11 @@ func (s *Server) persistOutcome(j *job) {
 	if s.store == nil {
 		return
 	}
-	st := j.status()
-	if st.State == jobRunning {
+	d := j.doc()
+	if d.State == jobRunning {
 		return
 	}
-	if st.State == jobDone {
+	if d.State == jobDone {
 		if raw, ok := j.resultBytes(); ok {
 			if err := s.store.saveResult(j.id, raw); err != nil {
 				return // job.json keeps saying running → restart resumes it
@@ -981,8 +879,8 @@ func (s *Server) persistOutcome(j *job) {
 	if err != nil {
 		return
 	}
-	rec.State = st.State
-	rec.Error = st.Error
+	rec.State = d.State
+	rec.Error = d.Error
 	_ = s.store.saveRecord(rec)
 }
 
@@ -1019,13 +917,13 @@ func (s *Server) RecoverJobs() (resumed, restored int, err error) {
 			}
 			s.addRecovered(&job{
 				id: rec.ID, kind: rec.Kind, name: rec.Name, cancel: func() {},
-				state: jobDone, done: rec.Total, total: rec.Total, result: raw,
+				phase: jobDone, done: rec.Total, total: rec.Total, result: raw,
 			})
 			restored++
 		case jobFailed, jobCancelled:
 			s.addRecovered(&job{
 				id: rec.ID, kind: rec.Kind, name: rec.Name, cancel: func() {},
-				state: rec.State, total: rec.Total, errMsg: rec.Error,
+				phase: rec.State, total: rec.Total, errMsg: rec.Error,
 			})
 			restored++
 		case jobRunning:
@@ -1051,7 +949,7 @@ func (s *Server) resumeJob(rec *jobRecord) error {
 		return fmt.Errorf("api: recover job %s: %w", rec.ID, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{id: rec.ID, kind: rec.Kind, name: rec.Name, cancel: cancel, state: jobRunning, total: rec.Total}
+	j := &job{id: rec.ID, kind: rec.Kind, name: rec.Name, cancel: cancel, phase: jobRunning, total: rec.Total}
 	s.addRecovered(j)
 	opt := scenario.Options{
 		Parallelism: s.cfg.Parallelism,
@@ -1098,7 +996,7 @@ func (s *Server) evictFinishedLocked() {
 				evictedOne = true
 				break
 			}
-			if st := j.status().State; st != jobRunning {
+			if j.state() != jobRunning {
 				delete(s.jobs, id)
 				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
 				s.noteEvictedLocked(id)
@@ -1190,15 +1088,15 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writeJobResult(w http.ResponseWriter, j *job) {
 	raw, ready := j.resultBytes()
 	if !ready {
-		st := j.status()
-		switch st.State {
+		d := j.doc()
+		switch d.State {
 		case jobFailed:
-			writeError(w, http.StatusGone, errJobFailed, "job %s failed: %s", j.id, st.Error)
+			writeError(w, http.StatusGone, errJobFailed, "job %s failed: %s", j.id, d.Error)
 		case jobCancelled:
 			writeError(w, http.StatusGone, errJobCancelled, "job %s was cancelled", j.id)
 		default:
 			writeError(w, http.StatusConflict, errJobRunning,
-				"job %s is still %s (%d/%d tasks)", j.id, st.State, st.Done, st.Total)
+				"job %s is still %s (%d/%d tasks)", j.id, d.State, d.Done, d.Total)
 		}
 		return
 	}
@@ -1227,39 +1125,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	j.markCancelled()
 	s.persistOutcome(j)
 	writeJSON(w, http.StatusOK, j.doc())
-}
-
-// markDeprecated stamps the alias routes with their successor.
-func markDeprecated(w http.ResponseWriter) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/jobs>; rel="successor-version"`)
-}
-
-func (s *Server) handleLegacyJobStatus(w http.ResponseWriter, r *http.Request) {
-	markDeprecated(w)
-	if j, ok := s.getJob(w, r); ok {
-		writeJSON(w, http.StatusOK, j.status())
-	}
-}
-
-func (s *Server) handleLegacyJobResult(w http.ResponseWriter, r *http.Request) {
-	markDeprecated(w)
-	j, ok := s.getJob(w, r)
-	if !ok {
-		return
-	}
-	s.writeJobResult(w, j)
-}
-
-func (s *Server) handleLegacyJobCancel(w http.ResponseWriter, r *http.Request) {
-	markDeprecated(w)
-	j, ok := s.getJob(w, r)
-	if !ok {
-		return
-	}
-	j.markCancelled()
-	s.persistOutcome(j)
-	writeJSON(w, http.StatusOK, j.status())
 }
 
 // splitIDs parses the comma-separated ids parameter.

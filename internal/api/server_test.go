@@ -167,6 +167,9 @@ func TestServeRunErrors(t *testing.T) {
 	}
 }
 
+// TestServeScenarioSweep: a sweep job's result is the scenario report for
+// the submitted spec, with the request's seed and replicas applied; a spec
+// the validator rejects is a 400 carrying its message, and no job.
 func TestServeScenarioSweep(t *testing.T) {
 	srv := httptest.NewServer(New(Config{Parallelism: 2}))
 	defer srv.Close()
@@ -174,14 +177,14 @@ func TestServeScenarioSweep(t *testing.T) {
 		"policy": "sjf", "workload": {"class": "syn", "jobs": 8},
 		"cluster": {"machines": 2},
 		"sweep": {"policy": ["sjf", "fcfs"]}}`
-	resp, err := http.Post(srv.URL+"/v1/scenario/sweep?seed=5&replicas=2", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
+	status, doc, raw := postJob(t, srv.URL, `{"kind": "sweep", "spec": `+spec+`, "seed": 5, "replicas": 2}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d body %s", status, raw)
 	}
-	defer resp.Body.Close()
-	body := readAll(t, resp)
+	waitJobDone(t, srv.URL, doc.ID)
+	resp, body := get(t, srv.URL+"/v1/jobs/"+doc.ID+"/result")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+		t.Fatalf("result: status %d: %s", resp.StatusCode, body)
 	}
 	var rep struct {
 		Name     string `json:"name"`
@@ -189,8 +192,7 @@ func TestServeScenarioSweep(t *testing.T) {
 		Seed     int64  `json:"seed"`
 		Replicas int    `json:"replicas"`
 		Cells    []struct {
-			ID      string                        `json:"id"`
-			Metrics map[string]map[string]float64 `json:"-"`
+			ID string `json:"id"`
 		} `json:"cells"`
 	}
 	if err := json.Unmarshal([]byte(body), &rep); err != nil {
@@ -200,14 +202,13 @@ func TestServeScenarioSweep(t *testing.T) {
 		t.Errorf("sweep report shape: %+v", rep)
 	}
 
-	// A malformed body is a 400 with the scenario validator's message.
-	resp2, err := http.Post(srv.URL+"/v1/scenario/sweep", "application/json", strings.NewReader(`{"version": 1, "name": "x", "policy": "nope"}`))
-	if err != nil {
-		t.Fatal(err)
+	// A spec the validator rejects is a 400 with the validator's message.
+	status, _, raw = postJob(t, srv.URL, `{"kind": "sweep", "spec": {"version": 1, "name": "x", "policy": "nope"}}`)
+	if status != http.StatusBadRequest || !strings.Contains(raw, "policy") {
+		t.Errorf("bad spec: status %d body %s", status, raw)
 	}
-	defer resp2.Body.Close()
-	if body := readAll(t, resp2); resp2.StatusCode != http.StatusBadRequest || !strings.Contains(body, `"error"`) {
-		t.Errorf("bad spec: status %d body %s", resp2.StatusCode, body)
+	if ids := listJobs(t, srv.URL); len(ids) != 1 {
+		t.Errorf("jobs after one good and one bad submission: %v", ids)
 	}
 }
 
@@ -256,18 +257,28 @@ func TestServeRunCoalescesConcurrentMisses(t *testing.T) {
 	}
 }
 
-// TestServeScenarioSweepBodyLimit pins the request-body cap.
+// TestServeScenarioSweepBodyLimit pins the request-body cap at exactly
+// maxSpecBytes: a body one byte over is 413, while a body at the limit is
+// read whole and judged on its content (here: an unknown spec field, 400).
 func TestServeScenarioSweepBodyLimit(t *testing.T) {
 	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
-	huge := strings.NewReader(`{"pad": "` + strings.Repeat("x", maxSpecBytes+1) + `"}`)
-	resp, err := http.Post(srv.URL+"/v1/scenario/sweep", "application/json", huge)
-	if err != nil {
-		t.Fatal(err)
+	envelope := `{"kind": "sweep", "spec": {"pad": ""}}`
+	atLimit := strings.Replace(envelope, `""`, `"`+strings.Repeat("x", maxSpecBytes-len(envelope))+`"`, 1)
+	if len(atLimit) != maxSpecBytes {
+		t.Fatalf("at-limit body is %d bytes", len(atLimit))
 	}
-	defer resp.Body.Close()
-	if body := readAll(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized body: status %d, want 413 (%s)", resp.StatusCode, body)
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{atLimit, http.StatusBadRequest},
+		{strings.Replace(atLimit, `"x`, `"xx`, 1), http.StatusRequestEntityTooLarge},
+	} {
+		resp, _, raw := doReq(t, "POST", srv.URL+"/v1/jobs", tc.body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte body: status %d, want %d (%.200s)", len(tc.body), resp.StatusCode, tc.want, raw)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"atlarge"
 )
@@ -111,192 +110,164 @@ func TestServeRunStreamSeedZero(t *testing.T) {
 	}
 }
 
-// sweepSpecBody is a small two-cell sweep used by the async job tests.
+// sweepSpecBody is a small two-cell sweep used by the job tests.
 const sweepSpecBody = `{"version": 2, "name": "api-async", "domain": "sched",
 	"policy": "sjf", "workload": {"class": "syn", "jobs": 8},
 	"cluster": {"machines": 2},
 	"sweep": {"policy": ["sjf", "fcfs"]}}`
 
-// postSweep posts a sweep spec and decodes the JSON envelope.
-func postSweep(t *testing.T, url string) (int, map[string]string) {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(sweepSpecBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body := readAll(t, resp)
-	out := map[string]string{}
-	_ = json.Unmarshal([]byte(body), &out)
-	out["_body"] = body
-	return resp.StatusCode, out
-}
-
-// TestServeAsyncSweep: the async path accepts with a job id, the job runs
-// to done, and its result bytes equal the synchronous response.
+// TestServeAsyncSweep: a job submitted without seed or replicas overrides
+// takes both from the spec, runs to done, and its result bytes equal an
+// in-process scenario.Run of the same spec with no overrides — which is
+// what `atlarge scenario sweep --format json` prints.
 func TestServeAsyncSweep(t *testing.T) {
 	srv := httptest.NewServer(New(Config{Parallelism: 2}))
 	defer srv.Close()
+	spec := strings.Replace(sweepSpecBody, `"cluster"`, `"seed": 9, "replicas": 2, "cluster"`, 1)
 
-	status, accepted := postSweep(t, srv.URL+"/v1/scenario/sweep?seed=5&replicas=2&async=1")
-	if status != http.StatusAccepted || accepted["job"] == "" {
-		t.Fatalf("async accept: status %d, body %s", status, accepted["_body"])
+	status, doc, raw := postJob(t, srv.URL, `{"kind": "sweep", "spec": `+spec+`}`)
+	if status != http.StatusAccepted || doc.ID == "" {
+		t.Fatalf("submit: status %d, body %s", status, raw)
 	}
-
-	statusURL := srv.URL + accepted["status"]
-	deadline := time.Now().Add(30 * time.Second)
-	var st jobStatus
-	for {
-		_, body := get(t, statusURL)
-		if err := json.Unmarshal([]byte(body), &st); err != nil {
-			t.Fatalf("bad status body %s: %v", body, err)
-		}
-		if st.State != jobRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck running: %+v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
+	done := waitJobDone(t, srv.URL, doc.ID)
+	if done.State != jobDone || done.Done != done.Total || done.Total != 4 {
+		t.Fatalf("finished job = %+v, want done with 4/4 tasks (2 cells x 2 spec replicas)", done)
 	}
-	if st.State != jobDone || st.Done != st.Total || st.Total != 4 || st.Result == "" {
-		t.Fatalf("finished status = %+v", st)
-	}
-
-	_, asyncBody := get(t, srv.URL+st.Result)
-	syncStatus, syncOut := postSweep(t, srv.URL+"/v1/scenario/sweep?seed=5&replicas=2")
-	if syncStatus != http.StatusOK {
-		t.Fatalf("sync sweep failed: %d", syncStatus)
-	}
-	if asyncBody != syncOut["_body"] {
-		t.Error("async result bytes differ from synchronous sweep response")
+	_, got := get(t, srv.URL+done.Links.Result)
+	if want := inProcessSweep(t, spec, nil, 0); got != want {
+		t.Error("job result bytes differ from the in-process sweep of the same spec")
 	}
 }
 
-// TestServeAsyncSweepResultNotReady: fetching the result of a running or
-// unknown job reports the right statuses.
+// TestServeAsyncSweepNotFound: an ID that was never submitted is 404 on
+// every job route.
 func TestServeAsyncSweepNotFound(t *testing.T) {
 	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
-	resp, body := get(t, srv.URL+"/v1/scenario/jobs/nope")
-	if resp.StatusCode != http.StatusNotFound || !strings.Contains(body, `"error"`) {
-		t.Errorf("unknown job: status %d body %s", resp.StatusCode, body)
-	}
-	resp2, _ := get(t, srv.URL+"/v1/scenario/jobs/nope/result")
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job result: status %d", resp2.StatusCode)
+	for _, tc := range []struct{ method, path string }{
+		{"GET", "/v1/jobs/nope"},
+		{"GET", "/v1/jobs/nope/result"},
+		{"GET", "/v1/jobs/nope/profile"},
+		{"DELETE", "/v1/jobs/nope"},
+	} {
+		resp, env, raw := doReq(t, tc.method, srv.URL+tc.path, "")
+		if resp.StatusCode != http.StatusNotFound || env.Error.Code != errNotFound {
+			t.Errorf("%s %s: status %d body %s, want 404 not_found", tc.method, tc.path, resp.StatusCode, raw)
+		}
 	}
 }
 
 // TestServeAsyncSweepCancel: DELETE flips a running job to cancelled and
 // its result becomes 410.
 func TestServeAsyncSweepCancel(t *testing.T) {
-	srv := httptest.NewServer(New(Config{Parallelism: 1}))
+	api := New(Config{Parallelism: 1})
+	defer api.waitJobs()
+	srv := httptest.NewServer(api)
 	defer srv.Close()
 
-	status, accepted := postSweep(t, srv.URL+"/v1/scenario/sweep?replicas=64&async=1")
+	status, doc, raw := postJob(t, srv.URL, `{"kind": "sweep", "spec": `+sweepSpecBody+`, "replicas": 64}`)
 	if status != http.StatusAccepted {
-		t.Fatalf("async accept: %d", status)
+		t.Fatalf("submit: status %d, body %s", status, raw)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+accepted["status"], nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	resp, _, body := doReq(t, http.MethodDelete, srv.URL+"/v1/jobs/"+doc.ID, "")
+	var after jobDoc
+	if err := json.Unmarshal([]byte(body), &after); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel: status %d, body %s (%v)", resp.StatusCode, body, err)
 	}
-	body := readAll(t, resp)
-	resp.Body.Close()
-	var st jobStatus
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
+	if after.State != jobCancelled && after.State != jobDone {
+		t.Fatalf("cancelled job state = %q", after.State)
 	}
-	if st.State != jobCancelled && st.State != jobDone {
-		t.Fatalf("cancelled job state = %q", st.State)
-	}
-	if st.State == jobCancelled {
-		resp2, _ := get(t, srv.URL+accepted["status"]+"/result")
-		if resp2.StatusCode != http.StatusGone {
-			t.Errorf("cancelled result: status %d, want 410", resp2.StatusCode)
+	if after.State == jobCancelled {
+		resp2, env, raw := doReq(t, "GET", srv.URL+"/v1/jobs/"+doc.ID+"/result", "")
+		if resp2.StatusCode != http.StatusGone || env.Error.Code != errJobCancelled {
+			t.Errorf("cancelled result: status %d body %s, want 410 job_cancelled", resp2.StatusCode, raw)
 		}
 	}
 }
 
+// listJobs returns the IDs in GET /v1/jobs.
+func listJobs(t *testing.T, url string) []string {
+	t.Helper()
+	_, body := get(t, url+"/v1/jobs")
+	var list struct {
+		Jobs []jobDoc `json:"jobs"`
+	}
+	if err := json.Unmarshal([]byte(body), &list); err != nil {
+		t.Fatalf("bad job list %s: %v", body, err)
+	}
+	ids := make([]string, len(list.Jobs))
+	for i, d := range list.Jobs {
+		ids[i] = d.ID
+	}
+	return ids
+}
+
 // TestServeSweepCellBound: a spec whose axis cardinalities multiply past
 // the server's cell limit is rejected up front — including the degenerate
-// many-axis case whose raw product would overflow — without expanding.
+// many-axis case whose raw product would overflow — without expanding, and
+// no job is created.
 func TestServeSweepCellBound(t *testing.T) {
 	srv := httptest.NewServer(New(Config{MaxCells: 4}))
 	defer srv.Close()
 	spec := `{"version": 2, "name": "big", "domain": "sched",
 		"workload": {"class": "syn", "jobs": 8},
 		"sweep": {"policy": ["sjf", "fcfs", "random"], "load": [0.1, 0.2, 0.3]}}`
-	resp, err := http.Post(srv.URL+"/v1/scenario/sweep", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
+	status, _, body := postJob(t, srv.URL, `{"kind": "sweep", "spec": `+spec+`}`)
+	if status != http.StatusBadRequest || !strings.Contains(body, "limit of 4 cells") {
+		t.Errorf("oversized sweep: status %d body %s", status, body)
 	}
-	defer resp.Body.Close()
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "limit of 4 cells") {
-		t.Errorf("oversized sweep: status %d body %s", resp.StatusCode, body)
+	if ids := listJobs(t, srv.URL); len(ids) != 0 {
+		t.Errorf("rejected sweep created jobs %v", ids)
 	}
 }
 
 // TestServeSweepSpecReplicaBound: a spec body declaring a huge replica
-// count is rejected exactly like a huge ?replicas= query — the bound covers
-// both sources, before any work is scheduled.
+// count is rejected exactly like a huge request "replicas" — the bound
+// covers both sources, before any work is scheduled.
 func TestServeSweepSpecReplicaBound(t *testing.T) {
 	srv := httptest.NewServer(New(Config{MaxReplicas: 8}))
 	defer srv.Close()
 	spec := `{"version": 2, "name": "hostile", "domain": "sched",
 		"policy": "sjf", "workload": {"class": "syn", "jobs": 4},
 		"replicas": 1000000}`
-	for _, path := range []string{"/v1/scenario/sweep", "/v1/scenario/sweep?async=1"} {
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(spec))
-		if err != nil {
-			t.Fatal(err)
+	ok := strings.Replace(spec, "1000000", "2", 1)
+	for name, body := range map[string]string{
+		"spec replicas":    `{"kind": "sweep", "spec": ` + spec + `}`,
+		"request replicas": `{"kind": "sweep", "spec": ` + ok + `, "replicas": 1000000}`,
+	} {
+		status, _, raw := postJob(t, srv.URL, body)
+		if status != http.StatusBadRequest || !strings.Contains(raw, "replicas must be in 1..8") {
+			t.Errorf("%s: status %d body %s, want 400 replica bound", name, status, raw)
 		}
-		body := readAll(t, resp)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "replicas must be in 1..8") {
-			t.Errorf("%s: status %d body %s, want 400 replica bound", path, resp.StatusCode, body)
-		}
+	}
+	if ids := listJobs(t, srv.URL); len(ids) != 0 {
+		t.Errorf("rejected submissions created jobs %v", ids)
 	}
 	// The spec's own replica count still works when it is within bounds.
-	ok := strings.Replace(spec, "1000000", "2", 1)
-	resp, err := http.Post(srv.URL+"/v1/scenario/sweep", "application/json", strings.NewReader(ok))
-	if err != nil {
-		t.Fatal(err)
+	status, doc, raw := postJob(t, srv.URL, `{"kind": "sweep", "spec": `+ok+`}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("in-bounds spec replicas: status %d body %s", status, raw)
 	}
-	body := readAll(t, resp)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"replicas": 2`) {
-		t.Errorf("in-bounds spec replicas: status %d body %.200s", resp.StatusCode, body)
+	waitJobDone(t, srv.URL, doc.ID)
+	if _, body := get(t, srv.URL+"/v1/jobs/"+doc.ID+"/result"); !strings.Contains(body, `"replicas": 2`) {
+		t.Errorf("in-bounds spec replicas: result %.200s", body)
 	}
 }
 
-// TestServeAsyncSweepTotalFromSpec: the job's status total reflects the
-// spec's replica count from the moment of acceptance.
+// TestServeAsyncSweepTotalFromSpec: the job's total reflects the spec's
+// replica count from the moment of acceptance.
 func TestServeAsyncSweepTotalFromSpec(t *testing.T) {
 	srv := httptest.NewServer(New(Config{Parallelism: 2}))
 	defer srv.Close()
 	spec := `{"version": 2, "name": "tot", "domain": "sched",
 		"policy": "sjf", "workload": {"class": "syn", "jobs": 4},
 		"replicas": 3, "sweep": {"policy": ["sjf", "fcfs"]}}`
-	resp, err := http.Post(srv.URL+"/v1/scenario/sweep?async=1", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
+	status, doc, raw := postJob(t, srv.URL, `{"kind": "sweep", "spec": `+spec+`}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status %d body %s", status, raw)
 	}
-	accepted := map[string]string{}
-	if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	_, body := get(t, srv.URL+accepted["status"])
-	var st jobStatus
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Total != 6 { // 2 cells × 3 spec replicas
-		t.Errorf("job total = %d, want 6 (from the spec's replicas)", st.Total)
+	if doc.Total != 6 { // 2 cells × 3 spec replicas
+		t.Errorf("job total = %d, want 6 (from the spec's replicas)", doc.Total)
 	}
 }
 
@@ -306,20 +277,20 @@ func TestServeAsyncSweepTotalFromSpec(t *testing.T) {
 func TestServeAsyncSweepJobLimit(t *testing.T) {
 	api := New(Config{Parallelism: 1, MaxJobs: 1})
 	api.jobMu.Lock()
-	api.jobs["job-held"] = &job{id: "job-held", cancel: func() {}, state: jobRunning}
+	api.jobs["job-held"] = &job{id: "job-held", cancel: func() {}, phase: jobRunning}
 	api.jobOrder = append(api.jobOrder, "job-held")
 	api.jobMu.Unlock()
 	srv := httptest.NewServer(api)
 	defer srv.Close()
 
-	status, out := postSweep(t, srv.URL+"/v1/scenario/sweep?async=1")
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("second job: status %d body %s, want 429", status, out["_body"])
+	resp, env, raw := doReq(t, "POST", srv.URL+"/v1/jobs", jobBody(1))
+	if resp.StatusCode != http.StatusTooManyRequests || env.Error.Code != errJobLimit {
+		t.Fatalf("second job: status %d body %s, want 429 job_limit", resp.StatusCode, raw)
 	}
 
 	// Releasing the held job frees a slot.
 	api.jobs["job-held"].finish(nil, nil)
-	if status, _ := postSweep(t, srv.URL+"/v1/scenario/sweep?async=1"); status != http.StatusAccepted {
-		t.Fatalf("freed slot: status %d, want 202", status)
+	if status, _, raw := postJob(t, srv.URL, jobBody(1)); status != http.StatusAccepted {
+		t.Fatalf("freed slot: status %d body %s, want 202", status, raw)
 	}
 }

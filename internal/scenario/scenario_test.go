@@ -143,14 +143,6 @@ func TestExpandCrossProduct(t *testing.T) {
 	}
 }
 
-func TestSingleRejectsSweeps(t *testing.T) {
-	s := specJSON(t, validSweepSpec)
-	_, err := Single(s)
-	if err == nil || !strings.Contains(err.Error(), "scenario sweep") {
-		t.Fatalf("Single accepted a sweep spec: %v", err)
-	}
-}
-
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	s := specJSON(t, validSweepSpec)
 	cells, err := Expand(s)

@@ -218,17 +218,3 @@ func Expand(s *Spec) ([]Scenario, error) {
 	}
 	return cells, nil
 }
-
-// Single validates the spec and returns its base scenario; it rejects specs
-// with sweep axes, which need Expand.
-func Single(s *Spec) (*Scenario, error) {
-	if len(s.Sweep) > 0 {
-		return nil, fmt.Errorf("scenario: spec %q has sweep axes (%s); use 'scenario sweep'",
-			s.Name, strings.Join(s.sweepAxes(), ", "))
-	}
-	cells, err := Expand(s)
-	if err != nil {
-		return nil, err
-	}
-	return &cells[0], nil
-}
