@@ -35,7 +35,7 @@ bench:
 # executor every runner/sweep/API request rides on, and the population job
 # stream (which must stay ~0 allocs/job at any client count) — measured long
 # enough to gate on.
-BENCH_KERNEL = $(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkExecStream|BenchmarkWorldTick|BenchmarkPopulationStream' -benchmem -benchtime 1s ./internal/sim ./internal/exec ./internal/mmog ./internal/workload
+BENCH_KERNEL = $(GO) test -run '^$$' -bench 'BenchmarkKernel|BenchmarkExecStream|BenchmarkWorldTick|BenchmarkPopulationStream' -benchmem -benchtime 1s -cpu 1 ./internal/sim ./internal/exec ./internal/mmog ./internal/workload
 
 # Regenerate the committed perf baseline (run on the reference machine after
 # an intentional kernel change, and commit the result).
@@ -85,12 +85,16 @@ perfbench-test:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
-# Short fuzz pass over the spec boundary the serve API exposes to remote
-# clients: Parse + Expand must never panic, and a successful expansion must
-# have exactly SweepSize cells (the server's pre-expansion cell bound relies
-# on it). See FuzzParseSpec in internal/scenario.
+# Short fuzz passes over two input boundaries. The spec boundary the serve
+# API exposes to remote clients: Parse + Expand must never panic, and a
+# successful expansion must have exactly SweepSize cells (the server's
+# pre-expansion cell bound relies on it); see FuzzParseSpec in
+# internal/scenario. The GWA trace import: ReadJobs must never panic, and
+# every trace it accepts obeys its field rules and round-trips through
+# WriteJobs; see FuzzReadJobs in internal/trace.
 fuzz-smoke:
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJobs$$' -fuzztime 10s
 
 # End-to-end smoke of `atlarge serve`: boot it on an ephemeral port, check
 # /v1/experiments matches the committed catalog golden, hit one /v1/run
@@ -285,7 +289,7 @@ trace-smoke:
 # million-client population and fail if peak heap exceeds the budget, proving
 # resident state is O(clients) rather than O(jobs). See cmd/stream-smoke.
 stream-smoke:
-	$(GO) run ./cmd/stream-smoke -clients 1000000 -jobs 1000000 -skew zipf -shards 8
+	$(GO) run ./cmd/stream-smoke -clients 1000000 -jobs 1000000 -skew zipf
 
 clean:
 	$(GO) clean ./...

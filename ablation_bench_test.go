@@ -81,14 +81,14 @@ func BenchmarkAblationEstimateNoise(b *testing.B) {
 					hi = len(sorted.Jobs)
 				}
 				window := &workload.Trace{Jobs: sorted.Jobs[lo:hi]}
-				oracle, err := sched.RunAll(envFactory, window, sched.DefaultPortfolio(), 7+int64(w))
-				if err != nil {
-					b.Fatal(err)
-				}
 				bestName, bestVal := "", 0.0
-				for name, r := range oracle {
+				for _, p := range sched.DefaultPortfolio() {
+					r, err := sched.NewSimulator(envFactory(), window, p, 7+int64(w)).Run()
+					if err != nil {
+						b.Fatal(err)
+					}
 					if bestName == "" || r.MeanSlowdown < bestVal {
-						bestName, bestVal = name, r.MeanSlowdown
+						bestName, bestVal = p.Name(), r.MeanSlowdown
 					}
 				}
 				if choice.Policy != bestName {

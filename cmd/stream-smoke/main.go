@@ -19,9 +19,8 @@ func main() {
 	clients := flag.Int("clients", 1000000, "population size")
 	jobs := flag.Int("jobs", 1000000, "jobs to stream")
 	skew := flag.String("skew", "zipf", "per-client rate skew (none, zipf, lognormal)")
-	shards := flag.Int("shards", 8, "generation goroutines")
 	// A materialized million-job trace costs gigabytes; the streamed form
-	// measures ~52 MiB (≈50 B/client). 128 MiB leaves headroom for GC timing
+	// measures ~45 MiB (≈47 B/client). 128 MiB leaves headroom for GC timing
 	// while still failing fast on any O(jobs) regression.
 	budgetMB := flag.Uint64("budget-mb", 128, "peak heap budget in MiB")
 	flag.Parse()
@@ -36,9 +35,8 @@ func main() {
 			{Class: workload.ClassSynthetic, Weight: 2},
 			{Class: workload.ClassGaming, Weight: 1},
 		},
-		Skew:   sk,
-		Seed:   42,
-		Shards: *shards,
+		Skew: sk,
+		Seed: 42,
 	}
 	src, err := pop.Source()
 	if err != nil {
@@ -77,8 +75,8 @@ func main() {
 	sample()
 
 	budget := *budgetMB << 20
-	fmt.Printf("stream-smoke: %d jobs from %d clients (skew=%s, shards=%d): heap after setup %d MiB, peak %d MiB, budget %d MiB\n",
-		*jobs, *clients, sk.Kind, *shards, after>>20, peak>>20, *budgetMB)
+	fmt.Printf("stream-smoke: %d jobs from %d clients (skew=%s): heap after setup %d MiB, peak %d MiB, budget %d MiB\n",
+		*jobs, *clients, sk.Kind, after>>20, peak>>20, *budgetMB)
 	if peak > budget {
 		fatal(fmt.Errorf("peak heap %d MiB exceeds budget %d MiB: per-job state is leaking", peak>>20, *budgetMB))
 	}

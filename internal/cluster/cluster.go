@@ -3,13 +3,10 @@
 // datacenters (MCD), and geo-distributed datacenters (GDC).
 //
 // The model is slot-based: a Machine exposes a number of CPU slots;
-// allocations claim slots for a duration. The package also models cloud
-// pricing (on-demand and reserved instances) for the cost analyses of the
-// autoscaling experiments (§6.7).
+// allocations claim slots for a duration.
 package cluster
 
 import (
-	"errors"
 	"fmt"
 
 	"atlarge/internal/sim"
@@ -56,9 +53,6 @@ type Machine struct {
 
 // Free returns the number of unclaimed slots.
 func (m *Machine) Free() int { return m.Cores - m.used }
-
-// Used returns the number of claimed slots.
-func (m *Machine) Used() int { return m.used }
 
 // Claim reserves n slots. It returns an error when insufficient slots are
 // free.
@@ -118,34 +112,16 @@ func (c *Cluster) Utilization() float64 {
 	return float64(total-c.FreeCores()) / float64(total)
 }
 
-// ErrNoCapacity is returned when a placement cannot be satisfied.
-var ErrNoCapacity = errors.New("cluster: no capacity")
-
-// FirstFit claims n slots on the first machine with room and returns that
-// machine.
-func (c *Cluster) FirstFit(n int) (*Machine, error) {
-	for _, m := range c.Machines {
-		if m.Free() >= n {
-			if err := m.Claim(n); err != nil {
-				return nil, err
-			}
-			return m, nil
-		}
-	}
-	return nil, ErrNoCapacity
-}
-
 // Environment is a complete Table 9 execution environment: one or more
-// clusters plus, for cloud kinds, an elastic provider.
+// clusters.
 type Environment struct {
 	Kind     Kind
 	Clusters []*Cluster
-	Provider *CloudProvider // nil for non-elastic environments
 	// InterLatency is the cross-cluster latency; relevant for G, MCD, GDC.
 	InterLatency sim.Duration
 }
 
-// TotalCores sums over clusters (excluding unprovisioned cloud capacity).
+// TotalCores sums over clusters.
 func (e *Environment) TotalCores() int {
 	n := 0
 	for _, c := range e.Clusters {
@@ -192,18 +168,13 @@ func NewHomogeneous(kind Kind, siteCount, machineCount, coreCount int) *Environm
 		env.InterLatency = 0.002
 	case KindGeoDistributed:
 		env.InterLatency = 0.1
-	case KindCloud:
-		env.Provider = NewCloudProvider(DefaultPricing())
-	case KindCluster:
-		// single site, no special latency
 	}
 	return env
 }
 
 // StandardEnvironment returns the calibrated environment for a Table 9 kind:
-// CL is one 32-node cluster, G is 4 sites of 16 nodes, CD is a small base
-// pool plus elastic provider, MCD is 3 co-located clusters, GDC is 5 distant
-// sites.
+// CL is one 32-node cluster, G is 4 sites of 16 nodes, CD is a small
+// 8-node pool, MCD is 3 co-located clusters, GDC is 5 distant sites.
 func StandardEnvironment(kind Kind) *Environment {
 	switch kind {
 	case KindCluster:

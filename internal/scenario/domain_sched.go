@@ -292,6 +292,11 @@ func (schedDomain) Run(sc *Scenario, workloadSeed, simSeed int64) ([]MetricValue
 	if err != nil {
 		return nil, err
 	}
+	if sc.Workload.Trace != "" {
+		if err := checkTasksFit(tr, env); err != nil {
+			return nil, fmt.Errorf("scenario: cell %s: %w", sc.ID(), err)
+		}
+	}
 
 	if isPortfolio(sc.Policy) {
 		ps := &portfolio.Scheduler{
@@ -331,6 +336,26 @@ func (schedDomain) Run(sc *Scenario, workloadSeed, simSeed int64) ([]MetricValue
 		{Name: MetricUtilization, Value: res.UtilizationMean},
 		{Name: MetricDeadlineMisses, Value: float64(res.DeadlineMisses)},
 	}, nil
+}
+
+// checkTasksFit rejects an imported trace with a task wider than the widest
+// machine of env: no policy can ever place it, so its job would silently
+// never finish.
+func checkTasksFit(tr *workload.Trace, env *cluster.Environment) error {
+	widest := 0
+	for _, c := range env.Clusters {
+		for _, m := range c.Machines {
+			widest = max(widest, m.Cores)
+		}
+	}
+	for _, j := range tr.Jobs {
+		for _, t := range j.Tasks {
+			if t.CPUs > widest {
+				return fmt.Errorf("trace job %d task %d needs %d cpus, but the widest machine has %d cores", j.ID, t.ID, t.CPUs, widest)
+			}
+		}
+	}
+	return nil
 }
 
 // buildEnv resolves the scenario's environment: the kind's calibrated

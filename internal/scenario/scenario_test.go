@@ -317,6 +317,43 @@ func TestRunTraceImport(t *testing.T) {
 	}
 }
 
+// TestRunTraceRejectsOverWideTask pins that an imported task wider than
+// every machine of the cell's environment fails the cell, naming the job
+// and task, instead of never being placed and reporting zero jobs.
+func TestRunTraceRejectsOverWideTask(t *testing.T) {
+	dir := t.TempDir()
+	tr := &workload.Trace{Jobs: []*workload.Job{
+		{ID: 1, Submit: 0, Class: workload.ClassSynthetic, Tasks: []workload.Task{{ID: 1, JobID: 1, CPUs: 2, Runtime: 5, RuntimeEstimate: 5}}},
+		{ID: 2, Submit: 3, Class: workload.ClassSynthetic, Tasks: []workload.Task{
+			{ID: 2, JobID: 2, CPUs: 8, Runtime: 5, RuntimeEstimate: 5},
+			{ID: 3, JobID: 2, CPUs: 1000, Runtime: 5, RuntimeEstimate: 5},
+		}},
+	}}
+	var buf bytes.Buffer
+	if err := trace.WriteJobs(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "jobs.csv"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	specPath := filepath.Join(dir, "spec.json")
+	if err := os.WriteFile(specPath, []byte(`{"version": 2, "name": "wide", "domain": "sched", "workload": {"trace": "jobs.csv"}, "policy": "fcfs"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Load(specPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := Expand(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(context.Background(), s, cells, Options{})
+	if err == nil || !strings.Contains(err.Error(), "job 2 task 3 needs 1000 cpus") {
+		t.Fatalf("Run error = %v, want one naming job 2 task 3", err)
+	}
+}
+
 // TestScaleToLoad pins the offered-load arithmetic.
 func TestScaleToLoad(t *testing.T) {
 	tr := &workload.Trace{Jobs: []*workload.Job{

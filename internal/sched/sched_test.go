@@ -238,19 +238,20 @@ func TestAllPoliciesCompleteAllJobs(t *testing.T) {
 	factory := func() *cluster.Environment {
 		return cluster.NewHomogeneous(cluster.KindCluster, 1, 8, 8)
 	}
-	results, err := RunAll(factory, tr, DefaultPortfolio(), 7)
-	if err != nil {
-		t.Fatal(err)
+	policies := DefaultPortfolio()
+	if len(policies) != 7 {
+		t.Fatalf("got %d policies", len(policies))
 	}
-	if len(results) != 7 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for name, res := range results {
+	for _, p := range policies {
+		res, err := NewSimulator(factory(), tr, p, 7).Run()
+		if err != nil {
+			t.Fatalf("policy %s: %v", p.Name(), err)
+		}
 		if len(res.Jobs) != 40 {
-			t.Errorf("policy %s completed %d/40 jobs", name, len(res.Jobs))
+			t.Errorf("policy %s completed %d/40 jobs", p.Name(), len(res.Jobs))
 		}
 		if res.MeanSlowdown < 1 {
-			t.Errorf("policy %s mean slowdown %v < 1", name, res.MeanSlowdown)
+			t.Errorf("policy %s mean slowdown %v < 1", p.Name(), res.MeanSlowdown)
 		}
 	}
 }
@@ -261,15 +262,15 @@ func TestRunAllDeterministic(t *testing.T) {
 	factory := func() *cluster.Environment {
 		return cluster.NewHomogeneous(cluster.KindCluster, 1, 2, 8)
 	}
-	a, err := RunAll(factory, tr, []Policy{RandomOrder()}, 5)
+	a, err := NewSimulator(factory(), tr, RandomOrder(), 5).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunAll(factory, tr, []Policy{RandomOrder()}, 5)
+	b, err := NewSimulator(factory(), tr, RandomOrder(), 5).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a["Random"].MeanResponse != b["Random"].MeanResponse {
+	if a.MeanResponse != b.MeanResponse {
 		t.Error("Random policy not deterministic for fixed seed")
 	}
 }

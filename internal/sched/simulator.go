@@ -2,7 +2,6 @@ package sched
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 
@@ -389,19 +388,4 @@ func (s *Simulator) finishJob(job *workload.Job) {
 
 func (s *Simulator) recordUtilization() {
 	s.stream.recordUtil(s.k.Now(), s.env.Utilization())
-}
-
-// RunAll runs the trace under every policy on fresh copies of the
-// environment and returns results keyed by policy name. The environment is
-// rebuilt per policy via envFactory so runs do not share machine state.
-func RunAll(envFactory func() *cluster.Environment, tr *workload.Trace, policies []Policy, seed int64) (map[string]*Result, error) {
-	out := make(map[string]*Result, len(policies))
-	for _, p := range policies {
-		res, err := NewSimulator(envFactory(), tr, p, seed).Run()
-		if err != nil {
-			return nil, fmt.Errorf("sched: policy %s: %w", p.Name(), err)
-		}
-		out[p.Name()] = res
-	}
-	return out, nil
 }

@@ -324,26 +324,6 @@ func TestRecorder(t *testing.T) {
 	if len(names) != 2 || names[0] != "other" || names[1] != "util" {
 		t.Errorf("Names = %v", names)
 	}
-	// Piecewise-constant integral: 0.5 for 10s, 1.0 for 10s, 0.0 for 10s over 30s.
-	got := rec.TimeWeightedMean("util", 30)
-	want := (0.5*10 + 1.0*10 + 0*10) / 30
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("TimeWeightedMean = %v, want %v", got, want)
-	}
-}
-
-func TestRecorderTimeWeightedMeanEdge(t *testing.T) {
-	var rec Recorder
-	if got := rec.TimeWeightedMean("missing", 10); got != 0 {
-		t.Errorf("empty series mean = %v, want 0", got)
-	}
-	rec.Record("s", 5, 3)
-	if got := rec.TimeWeightedMean("s", 5); got != 0 {
-		t.Errorf("degenerate interval mean = %v, want 0", got)
-	}
-	if got := rec.TimeWeightedMean("s", 15); got != 3 {
-		t.Errorf("single-sample mean = %v, want 3", got)
-	}
 }
 
 func TestCounter(t *testing.T) {

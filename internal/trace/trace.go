@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -54,7 +55,11 @@ func WriteJobs(w io.Writer, tr *workload.Trace) error {
 	return cw.Error()
 }
 
-// ReadJobs decodes a GWA-style CSV back into a workload trace.
+// ReadJobs decodes a GWA-style CSV back into a workload trace. Every
+// submit time, runtime, estimate and deadline must be a finite,
+// non-negative number of seconds, every task needs at least one CPU, and
+// the class must be a known workload class; an error names the first line
+// that breaks a rule.
 func ReadJobs(r io.Reader) (*workload.Trace, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -73,54 +78,33 @@ func ReadJobs(r io.Reader) (*workload.Trace, error) {
 		if len(row) != len(jobHeader) {
 			return nil, fmt.Errorf("trace: line %d has %d fields, want %d", ln+2, len(row), len(jobHeader))
 		}
-		jobID, err := strconv.Atoi(row[0])
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d job_id: %w", ln+2, err)
+		p := rowParser{row: row, line: ln + 2}
+		jobID := p.integer(0)
+		submit := p.seconds(1)
+		taskID := p.integer(2)
+		cpus := p.integer(3)
+		runtime := p.seconds(4)
+		estimate := p.seconds(5)
+		deps := p.deps(6)
+		class := workload.Class(p.integer(7))
+		deadline := p.seconds(8)
+		if cpus < 1 {
+			p.fail(3, fmt.Errorf("got %d, want at least 1", cpus))
 		}
-		submit, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d submit: %w", ln+2, err)
+		// A known class resolves from its own acronym; an unknown one
+		// prints as Class(n), which names no class.
+		if _, err := workload.ClassByName(class.String()); err != nil {
+			p.fail(7, fmt.Errorf("unknown class %d", int(class)))
 		}
-		taskID, err := strconv.Atoi(row[2])
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d task_id: %w", ln+2, err)
-		}
-		cpus, err := strconv.Atoi(row[3])
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d cpus: %w", ln+2, err)
-		}
-		runtime, err := strconv.ParseFloat(row[4], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d runtime: %w", ln+2, err)
-		}
-		estimate, err := strconv.ParseFloat(row[5], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d estimate: %w", ln+2, err)
-		}
-		var deps []int
-		if row[6] != "" {
-			for _, d := range strings.Split(row[6], ";") {
-				dv, err := strconv.Atoi(d)
-				if err != nil {
-					return nil, fmt.Errorf("trace: line %d deps: %w", ln+2, err)
-				}
-				deps = append(deps, dv)
-			}
-		}
-		class, err := strconv.Atoi(row[7])
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d class: %w", ln+2, err)
-		}
-		deadline, err := strconv.ParseFloat(row[8], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d deadline: %w", ln+2, err)
+		if p.err != nil {
+			return nil, p.err
 		}
 		job, ok := jobs[jobID]
 		if !ok {
 			job = &workload.Job{
 				ID:       jobID,
 				Submit:   sim.Time(submit),
-				Class:    workload.Class(class),
+				Class:    class,
 				Deadline: sim.Duration(deadline),
 			}
 			jobs[jobID] = job
@@ -143,6 +127,57 @@ func ReadJobs(r io.Reader) (*workload.Trace, error) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return tr, nil
+}
+
+// rowParser decodes the columns of one CSV row, keeping the first error
+// with its line and column name.
+type rowParser struct {
+	row  []string
+	line int
+	err  error
+}
+
+func (p *rowParser) fail(col int, err error) {
+	if p.err == nil {
+		p.err = fmt.Errorf("trace: line %d %s: %w", p.line, jobHeader[col], err)
+	}
+}
+
+func (p *rowParser) integer(col int) int {
+	v, err := strconv.Atoi(p.row[col])
+	if err != nil {
+		p.fail(col, err)
+	}
+	return v
+}
+
+// seconds parses a time or duration column: a finite, non-negative number.
+func (p *rowParser) seconds(col int) float64 {
+	v, err := strconv.ParseFloat(p.row[col], 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0) || v < 0) {
+		err = fmt.Errorf("%s is not a finite, non-negative number of seconds", p.row[col])
+	}
+	if err != nil {
+		p.fail(col, err)
+	}
+	return v
+}
+
+// deps parses a ';'-separated list of task IDs; an empty column is nil.
+func (p *rowParser) deps(col int) []int {
+	if p.row[col] == "" {
+		return nil
+	}
+	var out []int
+	for _, d := range strings.Split(p.row[col], ";") {
+		dv, err := strconv.Atoi(d)
+		if err != nil {
+			p.fail(col, err)
+			return nil
+		}
+		out = append(out, dv)
+	}
+	return out
 }
 
 func formatF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -98,3 +98,43 @@ func TestGameRoundTrip(t *testing.T) {
 		t.Error("broken json accepted")
 	}
 }
+
+// malformedJobRows are GWA rows that each break one field rule of ReadJobs.
+// Before the rules existed, the first four crashed or silently emptied an
+// imported sched scenario.
+var malformedJobRows = []struct {
+	name, row, column string
+}{
+	{"negative cpus", "2,5,2,-2,10,10,,1,0", "cpus"},
+	{"negative runtime", "2,5,2,1,-10,10,,1,0", "runtime_s"},
+	{"NaN submit", "2,NaN,2,1,10,10,,1,0", "submit_s"},
+	{"unknown class", "2,5,2,1,10,10,,99,0", "class"},
+	{"zero cpus", "2,5,2,0,10,10,,1,0", "cpus"},
+	{"infinite submit", "2,+Inf,2,1,10,10,,1,0", "submit_s"},
+	{"negative submit", "2,-1,2,1,10,10,,1,0", "submit_s"},
+	{"infinite runtime", "2,5,2,1,Inf,10,,1,0", "runtime_s"},
+	{"negative estimate", "2,5,2,1,10,-0.5,,1,0", "estimate_s"},
+	{"NaN estimate", "2,5,2,1,10,nan,,1,0", "estimate_s"},
+	{"negative deadline", "2,5,2,1,10,10,,1,-3", "deadline_s"},
+	{"infinite deadline", "2,5,2,1,10,10,,1,-Inf", "deadline_s"},
+	{"class zero", "2,5,2,1,10,10,,0,0", "class"},
+}
+
+const jobCSVHeader = "job_id,submit_s,task_id,cpus,runtime_s,estimate_s,deps,class,deadline_s\n"
+
+// TestReadJobsFieldRules checks that each malformed row is rejected with an
+// error naming its line and column, after a valid first row.
+func TestReadJobsFieldRules(t *testing.T) {
+	for _, tc := range malformedJobRows {
+		t.Run(tc.name, func(t *testing.T) {
+			in := jobCSVHeader + "1,0,1,1,1,1,,1,0\n" + tc.row + "\n"
+			_, err := ReadJobs(strings.NewReader(in))
+			if err == nil {
+				t.Fatal("malformed row accepted")
+			}
+			if want := "line 3 " + tc.column + ":"; !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
+		})
+	}
+}

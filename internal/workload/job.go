@@ -85,17 +85,6 @@ func (j *Job) TotalWork() float64 {
 	return w
 }
 
-// MaxCPUs returns the largest per-task CPU requirement.
-func (j *Job) MaxCPUs() int {
-	m := 0
-	for _, t := range j.Tasks {
-		if t.CPUs > m {
-			m = t.CPUs
-		}
-	}
-	return m
-}
-
 // IsWorkflow reports whether any task has dependencies.
 func (j *Job) IsWorkflow() bool {
 	for _, t := range j.Tasks {
@@ -225,15 +214,6 @@ func (tr *Trace) Clone() *Trace {
 // SortBySubmit orders jobs by submission time (stable).
 func (tr *Trace) SortBySubmit() {
 	sort.SliceStable(tr.Jobs, func(i, j int) bool { return tr.Jobs[i].Submit < tr.Jobs[j].Submit })
-}
-
-// TotalTasks returns the number of tasks over all jobs.
-func (tr *Trace) TotalTasks() int {
-	n := 0
-	for _, j := range tr.Jobs {
-		n += len(j.Tasks)
-	}
-	return n
 }
 
 // Span returns the submission span (last submit − first submit).

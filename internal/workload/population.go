@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 
 	"atlarge/internal/sim"
 )
@@ -75,8 +74,8 @@ func normalizeSkew(s Skew) Skew {
 // clients without materializing anything per job.
 //
 // Determinism: client c's RNG stream depends only on (Seed, c), and merge
-// ties are broken by client ID, so the emitted stream is byte-identical at
-// any Shards setting.
+// ties are broken by client ID, so the emitted stream is a pure function of
+// the Population value.
 type Population struct {
 	// Clients is the number of independent clients (≥ 1).
 	Clients int
@@ -95,9 +94,6 @@ type Population struct {
 	RateScale float64
 	// Seed is the base seed; client c streams from DeriveSeed(Seed, c).
 	Seed int64
-	// Shards > 1 generates the stream on that many goroutines (clients
-	// partitioned contiguously), merged back deterministically.
-	Shards int
 }
 
 // SingleClass is the homogeneous mix: every client runs class c.
@@ -105,9 +101,8 @@ func SingleClass(c Class) []ClassShare { return []ClassShare{{Class: c, Weight: 
 
 // DeriveSeed derives a per-client RNG seed from the population base seed by
 // avalanching the (base, client) pair through the splitmix64 finalizer —
-// the same discipline the runner uses for experiment seeds. Client streams
-// depend only on their global ID, which is what makes sharded generation
-// order-independent.
+// the same discipline the runner uses for experiment seeds. A client's
+// stream depends only on its ID, never on the other clients.
 func DeriveSeed(base int64, client int) int64 {
 	h := uint64(base) + (uint64(client)+1)*0x9e3779b97f4a7c15
 	h ^= h >> 30
@@ -151,9 +146,6 @@ func (p *Population) Validate() error {
 	if p.RateScale < 0 || math.IsNaN(p.RateScale) {
 		return fmt.Errorf("workload: population rate scale must be >= 0, got %v", p.RateScale)
 	}
-	if p.Shards < 0 {
-		return fmt.Errorf("workload: population shards must be >= 0, got %d", p.Shards)
-	}
 	return nil
 }
 
@@ -193,11 +185,7 @@ func (p *Population) Source() (JobSource, error) {
 		zipfNorm = sum / float64(p.Clients)
 	}
 	cfg := popConfig{gens: gens, cum: cum, skew: sk, zipfNorm: zipfNorm, rateScale: rateScale, seed: p.Seed}
-	name := p.name()
-	if p.Shards <= 1 {
-		return &populationSource{core: newMergeCore(cfg, 0, p.Clients), name: name}, nil
-	}
-	return newShardedSource(cfg, p.Clients, p.Shards, name), nil
+	return newPopulationSource(cfg, p.Clients, p.name()), nil
 }
 
 func (p *Population) name() string {
@@ -208,7 +196,7 @@ func (p *Population) name() string {
 	return fmt.Sprintf("population(%d×%s, skew=%s)", p.Clients, strings.Join(classes, "+"), normalizeSkew(p.Skew).Kind)
 }
 
-// popConfig is the resolved, shard-independent population configuration.
+// popConfig is the resolved population configuration.
 type popConfig struct {
 	gens      []Generator
 	cum       []float64 // cumulative mix weights
@@ -229,7 +217,7 @@ type client struct {
 }
 
 // clientSource is a splitmix64 rand.Source64 whose state word lives in the
-// client table. One shared *rand.Rand per merge core is redirected from
+// client table. One shared *rand.Rand per source is redirected from
 // client to client, so a million clients cost 8 MB of RNG state rather than
 // a million rand.Rand instances.
 type clientSource struct{ state *uint64 }
@@ -248,15 +236,12 @@ func (s *clientSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 func (s *clientSource) Seed(int64) {}
 
-// mergeNode is the 16-byte value node of the k-way merge heaps, mirroring
+// mergeNode is the 16-byte value node of the k-way merge heap, mirroring
 // the sim kernel's heap discipline: compare by packed time bits, break ties
-// by client ID so the merge order is independent of heap insertion history
-// (and hence of shard count). shard is carried only by the top-level
-// cross-shard merge.
+// by client ID so the merge order is independent of heap insertion history.
 type mergeNode struct {
 	at     uint64
 	client uint32
-	shard  uint32
 }
 
 // packTime maps a non-negative time to a uint64 whose natural order matches
@@ -269,19 +254,6 @@ func nodeLess(a, b mergeNode) bool {
 }
 
 const mergeArity = 4
-
-func siftUp(h []mergeNode, i int) {
-	n := h[i]
-	for i > 0 {
-		p := (i - 1) / mergeArity
-		if !nodeLess(n, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = n
-}
 
 func siftDown(h []mergeNode, i int) {
 	n := h[i]
@@ -316,38 +288,39 @@ func heapify(h []mergeNode) {
 	}
 }
 
-// mergeCore merges one contiguous client range [base, base+len(clients))
-// into a (submit, client)-ordered job stream: a heap of one cursor per
-// client, job bodies drawn at pop time into a reused scratch job.
-type mergeCore struct {
+// populationSource merges the clients into one (submit, client)-ordered job
+// stream: a heap of one cursor per client, job bodies drawn at pop time into
+// a reused scratch job.
+type populationSource struct {
 	cfg     popConfig
 	clients []client
-	base    uint32
 	heap    []mergeNode
 	src     clientSource
 	r       *rand.Rand
 	sc      genScratch
 	job     Job
+	name    string
+	seq     int
+	taskID  int
 }
 
-func newMergeCore(cfg popConfig, lo, hi int) *mergeCore {
-	mc := &mergeCore{
+func newPopulationSource(cfg popConfig, clients int, name string) *populationSource {
+	s := &populationSource{
 		cfg:     cfg,
-		clients: make([]client, hi-lo),
-		base:    uint32(lo),
-		heap:    make([]mergeNode, hi-lo),
+		clients: make([]client, clients),
+		heap:    make([]mergeNode, clients),
+		name:    name,
 	}
-	mc.r = rand.New(&mc.src)
-	for i := range mc.clients {
-		id := lo + i
-		c := &mc.clients[i]
+	s.r = rand.New(&s.src)
+	for id := range s.clients {
+		c := &s.clients[id]
 		c.rng = uint64(DeriveSeed(cfg.seed, id))
-		mc.src.state = &c.rng
+		s.src.state = &c.rng
 		// Per-client draw order is a fixed contract: class pick (only for
 		// mixed populations), skew draw (only lognormal), first arrival gap.
 		ci := 0
 		if len(cfg.gens) > 1 {
-			u := mc.r.Float64() * cfg.cum[len(cfg.cum)-1]
+			u := s.r.Float64() * cfg.cum[len(cfg.cum)-1]
 			for ci < len(cfg.cum)-1 && u > cfg.cum[ci] {
 				ci++
 			}
@@ -358,46 +331,36 @@ func newMergeCore(cfg popConfig, lo, hi int) *mergeCore {
 		case "zipf":
 			mult *= math.Pow(float64(id+1), -cfg.skew.S) / cfg.zipfNorm
 		case "lognormal":
-			z := mc.r.NormFloat64()
+			z := s.r.NormFloat64()
 			mult *= math.Exp(cfg.skew.Sigma*z - cfg.skew.Sigma*cfg.skew.Sigma/2)
 		}
 		c.mult = mult
-		c.next = cfg.gens[ci].Arrivals.NextAfter(0, mult, mc.r)
-		mc.heap[i] = mergeNode{at: packTime(c.next), client: uint32(id)}
+		c.next = cfg.gens[ci].Arrivals.NextAfter(0, mult, s.r)
+		s.heap[id] = mergeNode{at: packTime(c.next), client: uint32(id)}
 	}
-	heapify(mc.heap)
-	return mc
+	heapify(s.heap)
+	return s
 }
 
-// next pops the earliest client cursor, fills that client's next job into
-// the core scratch (local task IDs; global identity is assigned by the
-// caller via emitAs), advances the cursor, and restores the heap. The
-// stream is unbounded, so next always succeeds.
-func (mc *mergeCore) next() (*Job, uint32) {
-	node := mc.heap[0]
-	c := &mc.clients[node.client-mc.base]
-	mc.src.state = &c.rng
-	g := &mc.cfg.gens[c.class]
-	mc.job.ID = 0
-	mc.job.Submit = c.next
-	mc.job.Class = g.Class
-	g.fillJob(&mc.job, mc.r, &mc.sc)
-	c.next = g.Arrivals.NextAfter(c.next, c.mult, mc.r)
-	mc.heap[0] = mergeNode{at: packTime(c.next), client: node.client}
-	siftDown(mc.heap, 0)
-	return &mc.job, node.client
-}
-
-// populationSource is the inline (unsharded) population stream.
-type populationSource struct {
-	core   *mergeCore
-	name   string
-	seq    int
-	taskID int
+// pop takes the earliest client cursor, fills that client's next job into
+// the scratch job (IDs are assigned by Next), advances the cursor, and
+// restores the heap. The stream is unbounded, so pop always succeeds.
+func (s *populationSource) pop() (*Job, uint32) {
+	node := s.heap[0]
+	c := &s.clients[node.client]
+	s.src.state = &c.rng
+	g := &s.cfg.gens[c.class]
+	s.job.Submit = c.next
+	s.job.Class = g.Class
+	g.fillJob(&s.job, s.r, &s.sc)
+	c.next = g.Arrivals.NextAfter(c.next, c.mult, s.r)
+	s.heap[0] = mergeNode{at: packTime(c.next), client: node.client}
+	siftDown(s.heap, 0)
+	return &s.job, node.client
 }
 
 func (s *populationSource) Next() *Job {
-	j, _ := s.core.next()
+	j, _ := s.pop()
 	s.seq++
 	emitAs(j, s.seq, s.taskID)
 	s.taskID += len(j.Tasks)
@@ -407,210 +370,3 @@ func (s *populationSource) Next() *Job {
 func (s *populationSource) Name() string { return s.name }
 
 func (s *populationSource) Close() {}
-
-// batchJobs is the per-shard handover granularity: large enough to amortize
-// channel operations, small enough to keep resident batch memory trivial.
-const batchJobs = 512
-
-// shardBatch carries a run of generated jobs from a shard goroutine to the
-// merging consumer in three flat arenas; batches are recycled through the
-// shard's free list, so steady-state generation allocates nothing.
-type shardBatch struct {
-	jobs  []batchJob
-	tasks []Task
-	deps  []int
-}
-
-type batchJob struct {
-	submit   sim.Time
-	client   uint32
-	class    Class
-	deadline sim.Duration
-	lo, hi   int32 // task range in the batch task arena
-}
-
-func (b *shardBatch) reset() {
-	b.jobs = b.jobs[:0]
-	b.tasks = b.tasks[:0]
-	b.deps = b.deps[:0]
-}
-
-// add copies a scratch job into the batch arenas, rebinding dep slices into
-// the batch dep arena.
-func (b *shardBatch) add(j *Job, clientID uint32) {
-	lo := len(b.tasks)
-	b.tasks = append(b.tasks, j.Tasks...)
-	for i := lo; i < len(b.tasks); i++ {
-		t := &b.tasks[i]
-		if len(t.Deps) > 0 {
-			dlo := len(b.deps)
-			b.deps = append(b.deps, t.Deps...)
-			t.Deps = b.deps[dlo:len(b.deps):len(b.deps)]
-		}
-	}
-	b.jobs = append(b.jobs, batchJob{
-		submit:   j.Submit,
-		client:   clientID,
-		class:    j.Class,
-		deadline: j.Deadline,
-		lo:       int32(lo),
-		hi:       int32(len(b.tasks)),
-	})
-}
-
-type shard struct {
-	core *mergeCore
-	out  chan *shardBatch
-	free chan *shardBatch
-	cur  *shardBatch
-	pos  int
-}
-
-// shardedSource partitions the clients across G goroutines, each running
-// its own mergeCore, and k-way merges the G sorted sub-streams. Because
-// every per-client draw sequence depends only on (seed, clientID) and merge
-// order is keyed (submit, clientID), the output is byte-identical to the
-// inline source.
-type shardedSource struct {
-	shards []*shard
-	heap   []mergeNode
-	name   string
-	job    Job
-	seq    int
-	taskID int
-	retire int // shard whose exhausted batch must be swapped on the next Next
-	done   chan struct{}
-	wg     sync.WaitGroup
-	closed bool
-}
-
-func newShardedSource(cfg popConfig, clients, shards int, name string) *shardedSource {
-	if shards > clients {
-		shards = clients
-	}
-	s := &shardedSource{name: name, retire: -1, done: make(chan struct{})}
-	per := (clients + shards - 1) / shards
-	// Cores are independent; build them in parallel (client init is the
-	// O(clients) part of startup).
-	var ranges [][2]int
-	for lo := 0; lo < clients; lo += per {
-		hi := lo + per
-		if hi > clients {
-			hi = clients
-		}
-		ranges = append(ranges, [2]int{lo, hi})
-	}
-	cores := make([]*mergeCore, len(ranges))
-	var cwg sync.WaitGroup
-	cwg.Add(len(ranges))
-	for i, rg := range ranges {
-		go func(i, lo, hi int) {
-			defer cwg.Done()
-			cores[i] = newMergeCore(cfg, lo, hi)
-		}(i, rg[0], rg[1])
-	}
-	cwg.Wait()
-	for _, core := range cores {
-		sh := &shard{
-			core: core,
-			out:  make(chan *shardBatch, 1),
-			free: make(chan *shardBatch, 2),
-		}
-		sh.free <- &shardBatch{}
-		sh.free <- &shardBatch{}
-		s.shards = append(s.shards, sh)
-	}
-	s.wg.Add(len(s.shards))
-	for _, sh := range s.shards {
-		go s.fill(sh)
-	}
-	for i, sh := range s.shards {
-		sh.cur = <-sh.out
-		bj := &sh.cur.jobs[0]
-		s.heap = append(s.heap, mergeNode{at: packTime(bj.submit), client: bj.client, shard: uint32(i)})
-	}
-	heapify(s.heap)
-	return s
-}
-
-func (s *shardedSource) fill(sh *shard) {
-	defer s.wg.Done()
-	for {
-		var b *shardBatch
-		select {
-		case b = <-sh.free:
-		case <-s.done:
-			return
-		}
-		b.reset()
-		for len(b.jobs) < batchJobs {
-			j, clientID := sh.core.next()
-			b.add(j, clientID)
-		}
-		select {
-		case sh.out <- b:
-		case <-s.done:
-			return
-		}
-	}
-}
-
-func (s *shardedSource) Next() *Job {
-	if s.retire >= 0 {
-		// The previous Next emitted the last job of this shard's batch; the
-		// emitted job aliased its arenas, so the swap was deferred to now.
-		sh := s.shards[s.retire]
-		old := sh.cur
-		sh.cur = <-sh.out
-		sh.free <- old
-		sh.pos = 0
-		bj := &sh.cur.jobs[0]
-		s.heap = append(s.heap, mergeNode{at: packTime(bj.submit), client: bj.client, shard: uint32(s.retire)})
-		siftUp(s.heap, len(s.heap)-1)
-		s.retire = -1
-	}
-	node := s.heap[0]
-	sh := s.shards[node.shard]
-	bj := &sh.cur.jobs[sh.pos]
-	s.job.Submit = bj.submit
-	s.job.Class = bj.class
-	s.job.Deadline = bj.deadline
-	s.job.Tasks = sh.cur.tasks[bj.lo:bj.hi]
-	s.seq++
-	emitAs(&s.job, s.seq, s.taskID)
-	s.taskID += len(s.job.Tasks)
-	sh.pos++
-	if sh.pos < len(sh.cur.jobs) {
-		nb := &sh.cur.jobs[sh.pos]
-		s.heap[0] = mergeNode{at: packTime(nb.submit), client: nb.client, shard: node.shard}
-		siftDown(s.heap, 0)
-	} else {
-		last := len(s.heap) - 1
-		s.heap[0] = s.heap[last]
-		s.heap = s.heap[:last]
-		if last > 0 {
-			siftDown(s.heap, 0)
-		}
-		s.retire = int(node.shard)
-	}
-	return &s.job
-}
-
-func (s *shardedSource) Name() string { return s.name }
-
-func (s *shardedSource) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	close(s.done)
-	// Unblock any producer parked on a full out channel, then wait for all
-	// shard goroutines to observe done.
-	for _, sh := range s.shards {
-		select {
-		case <-sh.out:
-		default:
-		}
-	}
-	s.wg.Wait()
-}

@@ -17,9 +17,6 @@ func TestJobTotalWorkAndMaxCPUs(t *testing.T) {
 	if got := j.TotalWork(); got != 40 {
 		t.Errorf("TotalWork = %v, want 40", got)
 	}
-	if got := j.MaxCPUs(); got != 4 {
-		t.Errorf("MaxCPUs = %v, want 4", got)
-	}
 }
 
 func TestCriticalPath(t *testing.T) {
